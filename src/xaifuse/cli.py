@@ -5,10 +5,10 @@ Subcommands:
   run           execute the full pipeline from a JSON config
   fuse          fuse one or more rank-table CSVs
   conformance   fuse the shipped tables and judge the required checks
-  report        rebuild summary.md from a run's JSON artifacts
+  report        rebuild summary.md, byte for byte, from a run's JSON artifacts
 
-Exit codes: 0 success, 2 config validation, 3 data error, 4 training
-error, 5 explanation error.
+Exit codes: 0 success, 1 failed conformance check or evaluation error,
+2 config validation, 3 data error, 4 training error, 5 explanation error.
 """
 
 from __future__ import annotations

@@ -127,15 +127,10 @@ def shap_values(
     model,
     instances: np.ndarray,
     background: np.ndarray,
-    seed: int = 0,
     exact_cap: int = 16,
 ) -> ShapMatrix:
-    """Exact interventional Shapley values by coalition enumeration.
-
-    The seed argument exists for interface stability across explainers;
-    the exact path is deterministic and never draws from it.
-    """
-    del seed
+    """Exact interventional Shapley values by coalition enumeration; the
+    result is deterministic, so no seed is taken."""
     X = np.asarray(instances, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
@@ -189,17 +184,6 @@ def shap_global(m: ShapMatrix, model_tag: str = "") -> ImportanceVector:
     return ImportanceVector(scores=scores, method="shap", model=model_tag)
 
 
-@dataclass(frozen=True)
-class TrainStats:
-    mean: np.ndarray
-    sd: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "TrainStats":
-        rows = np.asarray(rows, dtype=np.float64)
-        return cls(mean=rows.mean(axis=0), sd=rows.std(axis=0))
-
-
 def _lime_target_column(model, instance: np.ndarray) -> int:
     """Binary models explain the positive class; multiclass models the
     class predicted for the instance."""
@@ -212,20 +196,20 @@ def _lime_target_column(model, instance: np.ndarray) -> int:
 def lime_explain_instance(
     model,
     instance: np.ndarray,
-    train_stats: TrainStats,
+    sd: np.ndarray,
     cfg: ExplainerConfig,
     instance_index: int = 0,
 ) -> np.ndarray:
     """Signed coefficients of a locally weighted linear surrogate.
 
-    Perturbations are gaussian around the instance with per-feature train
-    sd; sample weights decay with standardized euclidean distance under an
-    exponential kernel. The least-squares solve carries ridge damping on
-    the coefficients (never the intercept).
+    Perturbations are gaussian around the instance with the training
+    split's per-feature sd; sample weights decay with standardized
+    euclidean distance under an exponential kernel. The least-squares solve
+    carries ridge damping on the coefficients (never the intercept).
     """
     x = np.asarray(instance, dtype=np.float64)
     p = x.shape[0]
-    sd = np.asarray(train_stats.sd, dtype=np.float64)
+    sd = np.asarray(sd, dtype=np.float64)
     sd_safe = np.where(sd > 0, sd, 1.0)
     rng = rng_for(cfg.seed, "lime", instance_index)
     z = x + rng.normal(size=(cfg.lime_samples_per_instance, p)) * sd
@@ -259,20 +243,24 @@ def lime_explain_instance(
 
 
 def lime_global(
-    model, rows: np.ndarray, cfg: ExplainerConfig, model_tag: str = ""
+    model,
+    rows: np.ndarray,
+    sd: np.ndarray,
+    cfg: ExplainerConfig,
+    model_tag: str = "",
 ) -> ImportanceVector:
     """Mean absolute surrogate coefficient over the first lime_instances
-    rows. Fails loudly if more than 10% of instances cannot be explained."""
+    rows, perturbed with the training split's per-feature sd. Fails loudly
+    if more than 10% of instances cannot be explained."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ExplainError("need a non-empty 2-d array of rows to explain")
     n_explain = min(cfg.lime_instances, rows.shape[0])
-    stats = TrainStats.from_rows(rows)
     acc = np.zeros(rows.shape[1])
     failures = 0
     for i in range(n_explain):
         try:
-            coef = lime_explain_instance(model, rows[i], stats, cfg, instance_index=i)
+            coef = lime_explain_instance(model, rows[i], sd, cfg, instance_index=i)
         except ExplainError:
             failures += 1
             continue

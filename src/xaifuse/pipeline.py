@@ -32,6 +32,7 @@ from .data import (
     undersample,
 )
 from .evaluation import (
+    ConformanceReport,
     EvaluationError,
     conformance_check,
     conformance_markdown,
@@ -432,8 +433,6 @@ def _train_all(cfg: PipelineConfig, train: Dataset) -> dict[str, Any]:
             models[family.value] = train_model(
                 family, train.rows, train.labels, seed=cfg.seed, overrides=overrides
             )
-        except ExplainError:
-            raise
         except Exception as exc:
             raise TrainingError(f"training {family.value} failed: {exc}") from exc
     return models
@@ -461,9 +460,11 @@ def _explain_all(
 ) -> dict[str, list[ImportanceVector]]:
     by_method: dict[str, list[ImportanceVector]] = {m: [] for m in cfg.explain_methods}
     probe = cfg.explainer_config(seed=0)
-    background = None
+    background = train_sd = None
     if "shap" in by_method:
         background = select_background(train.rows, probe.background_size, cfg.seed)
+    if "lime" in by_method:
+        train_sd = train.rows.std(axis=0)
     for tag, model in models.items():
         if "shap" in by_method:
             matrix = shap_values(
@@ -474,7 +475,9 @@ def _explain_all(
             lime_cfg = cfg.explainer_config(
                 seed=derive_seed(cfg.seed, "explain", "lime", tag)
             )
-            by_method["lime"].append(lime_global(model, rows, lime_cfg, model_tag=tag))
+            by_method["lime"].append(
+                lime_global(model, rows, train_sd, lime_cfg, model_tag=tag)
+            )
         if "permutation" in by_method:
             by_method["permutation"].append(
                 permutation_importance(
@@ -529,22 +532,6 @@ def _evaluate_sets(
 # -- report emission -----------------------------------------------------------
 
 
-def _metrics_markdown(results: dict[str, dict[str, dict]]) -> list[str]:
-    lines = []
-    metrics = ("accuracy", "precision", "recall", "f1")
-    for classifier, per_set in results.items():
-        set_names = list(per_set)
-        lines.append("")
-        lines.append(f"### {classifier}")
-        lines.append("")
-        lines.append("| Metric | " + " | ".join(set_names) + " |")
-        lines.append("|---|" + "---|" * len(set_names))
-        for metric in metrics:
-            cells = " | ".join(f"{per_set[s][metric]:.4f}" for s in set_names)
-            lines.append(f"| {metric} | {cells} |")
-    return lines
-
-
 def _emit_run_report(
     out: Path,
     cfg: PipelineConfig,
@@ -572,84 +559,97 @@ def _emit_run_report(
         write_fused(fused, track(f"fused_{method}.csv"))
     write_fused(leveled, track("fused_leveled.csv"))
 
+    # canonical JSON sorts map keys, so the display order travels as lists
     _write_json(
         track("metrics.json"),
         {
             "config_hash": cfg.config_hash(),
+            "run": {
+                "version": __version__,
+                "mode": cfg.mode,
+                "source": cfg.source.kind,
+                "train_rows": train.n_rows,
+                "test_rows": test.n_rows,
+                "features": schema.feature_count,
+            },
+            "feature_set_order": list(feature_sets),
+            "classifier_order": list(results),
             "feature_sets": feature_sets,
             "classifiers": results,
         },
     )
     # no fixture comparison applies to user or generated data
     _write_json(track("conformance.json"), None)
+    track("summary.md").write_text(render_summary_from_artifacts(out), encoding="utf-8")
+    return artifacts
 
+
+def _run_summary_lines(metrics: dict) -> list[str]:
+    run = metrics["run"]
+    set_names = metrics["feature_set_order"]
     lines = [
         "# Run summary",
         "",
-        f"- config hash: {cfg.config_hash()}",
-        f"- toolkit version: {__version__}",
-        f"- mode: {cfg.mode}",
-        f"- source: {cfg.source.kind}",
-        f"- rows: {train.n_rows} train / {test.n_rows} test",
-        f"- features: {schema.feature_count}",
+        f"- config hash: {metrics['config_hash']}",
+        f"- toolkit version: {run['version']}",
+        f"- mode: {run['mode']}",
+        f"- source: {run['source']}",
+        f"- rows: {run['train_rows']} train / {run['test_rows']} test",
+        f"- features: {run['features']}",
         "",
         "## Feature sets",
         "",
         "| Set | Features |",
         "|---|---|",
     ]
-    for name, features in feature_sets.items():
-        lines.append(f"| {name} | {', '.join(features)} |")
+    for name in set_names:
+        lines.append(f"| {name} | {', '.join(metrics['feature_sets'][name])} |")
     lines.append("")
     lines.append("## Metrics by independent classifier")
-    lines.extend(_metrics_markdown(results))
+    for classifier in metrics["classifier_order"]:
+        per_set = metrics["classifiers"][classifier]
+        lines.append("")
+        lines.append(f"### {classifier}")
+        lines.append("")
+        lines.append("| Metric | " + " | ".join(set_names) + " |")
+        lines.append("|---|" + "---|" * len(set_names))
+        for metric in ("accuracy", "precision", "recall", "f1"):
+            cells = " | ".join(f"{per_set[s][metric]:.4f}" for s in set_names)
+            lines.append(f"| {metric} | {cells} |")
     lines.append("")
-    lines.append("## Conformance")
-    lines.append("")
-    lines.append("null (runs on generated or user data have no reference column)")
-    lines.append("")
-    lines.append(reference_metrics_markdown())
-    (out / "summary.md").write_text("\n".join(lines), encoding="utf-8")
-    artifacts.append("summary.md")
-    return artifacts
+    return lines
 
 
 def render_summary_from_artifacts(out_dir: str | Path) -> str:
-    """Rebuild the Markdown summary from the JSON artifacts of a past run."""
-    from .evaluation import ConformanceReport
-
+    """The Markdown summary of a run or conformance directory, built from
+    its JSON artifacts alone. Runs write exactly this text to summary.md,
+    so rebuilding it later reproduces the file byte for byte."""
     out = Path(out_dir)
     metrics_path = out / "metrics.json"
     conf_path = out / "conformance.json"
     if not metrics_path.exists() and not conf_path.exists():
         raise DataError(f"no run artifacts under {out}")
 
-    lines = ["# Run summary", ""]
     if metrics_path.exists():
         metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
-        lines.append(f"- config hash: {metrics['config_hash']}")
-        lines.append("")
-        lines.append("## Feature sets")
-        lines.append("")
-        lines.append("| Set | Features |")
-        lines.append("|---|---|")
-        for name, features in metrics["feature_sets"].items():
-            lines.append(f"| {name} | {', '.join(features)} |")
-        lines.append("")
-        lines.append("## Metrics by independent classifier")
-        lines.extend(_metrics_markdown(metrics["classifiers"]))
-        lines.append("")
-
-    lines.append("## Conformance")
-    lines.append("")
+        try:
+            lines = _run_summary_lines(metrics)
+        except KeyError as exc:
+            raise DataError(f"{metrics_path} lacks the field {exc}") from None
+    else:
+        lines = ["# Conformance summary", ""]
     conf = None
     if conf_path.exists():
         conf = json.loads(conf_path.read_text(encoding="utf-8"))
     if conf is None:
-        lines.append("null (runs on generated or user data have no reference column)")
+        lines += [
+            "## Conformance",
+            "",
+            "null (runs on generated or user data have no reference column)",
+            "",
+        ]
     else:
         lines.append(conformance_markdown(ConformanceReport.from_dict(conf)))
-    lines.append("")
     lines.append(reference_metrics_markdown())
     return "\n".join(lines)
 
@@ -688,13 +688,7 @@ def run_fixture_conformance(out_dir: str | Path, spec: FusionSpec | None = None)
 
     _write_json(out / "conformance.json", report.to_dict())
     artifacts.append("conformance.json")
-    summary = (
-        "# Conformance summary\n\n"
-        + conformance_markdown(report)
-        + "\n"
-        + reference_metrics_markdown()
-    )
-    (out / "summary.md").write_text(summary, encoding="utf-8")
+    (out / "summary.md").write_text(render_summary_from_artifacts(out), encoding="utf-8")
     artifacts.append("summary.md")
 
     cfg_hash = sha256(b"fixture-conformance").hexdigest()

@@ -279,6 +279,7 @@ def test_c4_planted_signal_explainers(capsys):
             "lime": lime_global(
                 model,
                 rows,
+                train.rows.std(axis=0),
                 ExplainerConfig(
                     seed=derive_seed(1234, "lime"),
                     lime_samples_per_instance=500,

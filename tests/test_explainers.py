@@ -9,7 +9,6 @@ from xaifuse.explainers import (
     ExplainError,
     ExplainerConfig,
     ImportanceVector,
-    TrainStats,
     lime_explain_instance,
     lime_global,
     permutation_importance,
@@ -201,14 +200,12 @@ class TestLime:
 
     def test_constant_model_zero_coefficients(self):
         model = FnModel(lambda z: np.full(len(z), 0.5))
-        stats = TrainStats(mean=np.zeros(3), sd=np.ones(3))
-        coef = lime_explain_instance(model, np.zeros(3), stats, self.cfg())
+        coef = lime_explain_instance(model, np.zeros(3), np.ones(3), self.cfg())
         assert np.abs(coef).max() < 1e-6
 
     def test_dominant_feature_has_largest_coefficient(self):
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-3.0 * z[:, 0])))
-        stats = TrainStats(mean=np.zeros(4), sd=np.ones(4))
-        coef = lime_explain_instance(model, np.zeros(4), stats, self.cfg(seed=5))
+        coef = lime_explain_instance(model, np.zeros(4), np.ones(4), self.cfg(seed=5))
         assert np.abs(coef[0]) > np.abs(coef[1:]).max()
 
     def test_ignored_feature_has_negligible_coefficient(self):
@@ -216,18 +213,17 @@ class TestLime:
         # so the surrogate residual (and any spurious coefficient) is
         # limited by arithmetic noise alone
         model = FnModel(lambda z: 0.5 + 0.1 * z[:, 0] - 0.2 * z[:, 2])
-        stats = TrainStats(mean=np.zeros(3), sd=np.ones(3))
         coef = lime_explain_instance(
-            model, np.zeros(3), stats, self.cfg(seed=7, lime_samples_per_instance=4000)
+            model, np.zeros(3), np.ones(3), self.cfg(seed=7, lime_samples_per_instance=4000)
         )
         assert np.abs(coef[1]) < 1e-3 * np.abs(coef).max()
 
     def test_deterministic_per_seed_and_index(self):
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-z[:, 0])))
-        stats = TrainStats(mean=np.zeros(2), sd=np.ones(2))
-        a = lime_explain_instance(model, np.zeros(2), stats, self.cfg(seed=1), 3)
-        b = lime_explain_instance(model, np.zeros(2), stats, self.cfg(seed=1), 3)
-        c = lime_explain_instance(model, np.zeros(2), stats, self.cfg(seed=1), 4)
+        sd = np.ones(2)
+        a = lime_explain_instance(model, np.zeros(2), sd, self.cfg(seed=1), 3)
+        b = lime_explain_instance(model, np.zeros(2), sd, self.cfg(seed=1), 3)
+        c = lime_explain_instance(model, np.zeros(2), sd, self.cfg(seed=1), 4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -236,11 +232,11 @@ class TestLime:
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-(z[:, 0] + 0.5 * z[:, 1]))))
         rows = rng.normal(size=(6, 2))
         cfg = self.cfg(seed=2, lime_instances=6, lime_samples_per_instance=500)
-        iv = lime_global(model, rows, cfg, model_tag="stub")
-        stats = TrainStats.from_rows(rows)
+        sd = np.array([1.0, 2.0])
+        iv = lime_global(model, rows, sd, cfg, model_tag="stub")
         acc = np.zeros(2)
         for i in range(6):
-            acc += np.abs(lime_explain_instance(model, rows[i], stats, cfg, i))
+            acc += np.abs(lime_explain_instance(model, rows[i], sd, cfg, i))
         np.testing.assert_allclose(iv.scores, acc / 6)
 
     def test_global_ordering_matches_linear_weights(self):
@@ -249,7 +245,10 @@ class TestLime:
         rng = np.random.default_rng(13)
         rows = rng.normal(size=(15, 3))
         iv = lime_global(
-            model, rows, self.cfg(seed=3, lime_instances=15, lime_samples_per_instance=800)
+            model,
+            rows,
+            np.ones(3),
+            self.cfg(seed=3, lime_instances=15, lime_samples_per_instance=800),
         )
         np.testing.assert_array_equal(
             to_ranks(iv), to_ranks(np.abs(weights))
@@ -260,19 +259,28 @@ class TestLime:
         rng = np.random.default_rng(17)
         rows = rng.normal(size=(30, 2))
         cfg = self.cfg(seed=4, lime_instances=5, lime_samples_per_instance=300)
-        a = lime_global(model, rows, cfg)
-        b = lime_global(model, rows[:5], cfg)
-        # stats differ (computed over the provided rows), so only shape is
-        # guaranteed; rerunning with identical rows must be identical
-        c = lime_global(model, rows, cfg)
-        np.testing.assert_array_equal(a.scores, c.scores)
-        assert a.scores.shape == b.scores.shape
+        sd = np.ones(2)
+        a = lime_global(model, rows, sd, cfg)
+        b = lime_global(model, rows[:5], sd, cfg)
+        # the perturbation scale is passed in, so rows past the first
+        # lime_instances cannot change the result
+        np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_constant_feature_gets_zero_coefficient(self):
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-z[:, 0])))
-        stats = TrainStats(mean=np.zeros(2), sd=np.array([1.0, 0.0]))
-        coef = lime_explain_instance(model, np.zeros(2), stats, self.cfg(seed=9))
+        coef = lime_explain_instance(
+            model, np.zeros(2), np.array([1.0, 0.0]), self.cfg(seed=9)
+        )
         assert coef[1] == 0.0
+
+    def test_global_perturbs_with_the_given_sd(self):
+        # column 1 is constant in the explained rows but varies in training:
+        # perturbing with the training sd lets the surrogate see its effect
+        model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-(z[:, 0] + z[:, 1]))))
+        rows = np.column_stack([np.linspace(-1.0, 1.0, 8), np.zeros(8)])
+        cfg = self.cfg(seed=10, lime_instances=8, lime_samples_per_instance=500)
+        iv = lime_global(model, rows, np.ones(2), cfg)
+        assert iv.scores[1] > 0.5 * iv.scores[0] > 0.0
 
 
 class TestPermutationImportance:

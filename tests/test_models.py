@@ -9,15 +9,11 @@ from xaifuse.models import (
     LogisticRegression,
     MlpClassifier,
     ModelFamily,
-    RANKED_FAMILIES,
-    EVALUATION_FAMILIES,
     RandomForest,
     SvmRbf,
     default_params,
     resolve_params,
-    train_model,
 )
-from xaifuse.models.serialize import load_model, save_model
 
 
 # ---------------------------------------------------------------------------
@@ -510,25 +506,6 @@ class TestMlp:
 
 
 class TestDispatchAndSerialization:
-    @pytest.mark.parametrize("family", list(RANKED_FAMILIES) + list(EVALUATION_FAMILIES))
-    def test_roundtrip(self, family, tmp_path):
-        rng = np.random.default_rng(35)
-        X = rng.normal(size=(80, 3))
-        y = (X[:, 0] > 0).astype(int)
-        overrides = {}
-        if family == ModelFamily.RANDOM_FOREST:
-            overrides = {"n_estimators": 5}
-        elif family in (ModelFamily.GBDT_LGBM_LIKE, ModelFamily.GBDT_CATBOOST_LIKE):
-            overrides = {"n_estimators": 10}
-        model = train_model(family, X, y, seed=2, overrides=overrides)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        again = load_model(path)
-        np.testing.assert_array_equal(
-            model.predict_proba(X), again.predict_proba(X)
-        )
-        np.testing.assert_array_equal(model.classes_, again.classes_)
-
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="unknown hyperparameters"):
             resolve_params(ModelFamily.KNN, {"bogus": 3})
@@ -553,9 +530,3 @@ class TestDispatchAndSerialization:
         assert (mlp.hidden_units, mlp.epochs, mlp.batch_size) == (16, 5, 100)
         lr = default_params(ModelFamily.LOGISTIC_REGRESSION)
         assert (lr.c, lr.max_iter, lr.class_weight) == (1.0, 1000, "balanced")
-
-    def test_bad_format_version_rejected(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text('{"format_version": 99, "model": {}}')
-        with pytest.raises(ValueError, match="format"):
-            load_model(path)

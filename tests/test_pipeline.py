@@ -223,12 +223,21 @@ class TestRunPipeline:
         cfg = parse_config(tiny_config(tmp_path / "run"))
         run_pipeline(cfg)
         metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
-        assert set(metrics["feature_sets"]) == {
+        assert metrics["feature_set_order"] == [
             "all_features",
             "shap",
             "permutation",
             "leveled",
-        }
+        ]
+        assert set(metrics["feature_sets"]) == set(metrics["feature_set_order"])
+        assert metrics["classifier_order"] == ["logistic_regression"]
+        run = metrics["run"]
+        assert (run["mode"], run["source"], run["features"]) == (
+            "binary",
+            "synthetic_sensor",
+            10,
+        )
+        assert run["train_rows"] > run["test_rows"] > 0
         assert len(metrics["feature_sets"]["leveled"]) == 3
         assert len(metrics["feature_sets"]["all_features"]) == 10
         lr = metrics["classifiers"]["logistic_regression"]
@@ -254,12 +263,22 @@ class TestRunPipeline:
         assert "summary.md" in manifest.artifacts
 
     def test_summary_regeneration_round_trips(self, tmp_path):
-        cfg = parse_config(tiny_config(tmp_path / "run"))
+        # two judges and two methods: the rebuild must keep the run's order
+        # of sets and judges, which canonical JSON would sort
+        cfg = parse_config(
+            tiny_config(
+                tmp_path / "run",
+                independent_classifiers=["logistic_regression", "gbdt_lgbm_like"],
+            )
+        )
         run_pipeline(cfg)
-        regenerated = render_summary_from_artifacts(tmp_path / "run")
-        assert "## Feature sets" in regenerated
-        assert "## Conformance" in regenerated
-        assert "Reference metrics" in regenerated
+        written = (tmp_path / "run" / "summary.md").read_text(encoding="utf-8")
+        assert render_summary_from_artifacts(tmp_path / "run") == written
+        assert "- rows: " in written and "- toolkit version: " in written
+        assert written.index("### logistic_regression") < written.index(
+            "### gbdt_lgbm_like"
+        )
+        assert "| Metric | all_features | shap | permutation | leveled |" in written
 
 
 class TestFixtureConformanceRunner:
@@ -268,6 +287,13 @@ class TestFixtureConformanceRunner:
         assert report.passed
         assert "conformance.json" in manifest.artifacts
         assert (tmp_path / "fused_sensor_leveled.csv").exists()
+
+    def test_summary_regeneration_round_trips(self, tmp_path):
+        run_fixture_conformance(tmp_path)
+        written = (tmp_path / "summary.md").read_text(encoding="utf-8")
+        assert render_summary_from_artifacts(tmp_path) == written
+        assert written.startswith("# Conformance summary\n\n## Conformance\n")
+        assert written.count("## Conformance") == 1
 
 
 class TestCli:
@@ -386,11 +412,19 @@ class TestCli:
         out_dir = tmp_path / "out"
         cfg_path.write_text(json.dumps(tiny_config(out_dir)))
         assert main(["run", "--config", str(cfg_path)]) == 0
+        written = (out_dir / "summary.md").read_bytes()
         (out_dir / "summary.md").unlink()
         assert main(["report", "--out", str(out_dir)]) == 0
-        assert (out_dir / "summary.md").exists()
+        assert (out_dir / "summary.md").read_bytes() == written
         assert "## Feature sets" in capsys.readouterr().out
 
     def test_report_on_empty_dir_exits_3(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_report_on_metrics_without_run_facts_exits_3(self, tmp_path, capsys):
+        (tmp_path / "metrics.json").write_text(
+            json.dumps({"config_hash": "0", "feature_sets": {}, "classifiers": {}})
+        )
+        assert main(["report", "--out", str(tmp_path)]) == 3
+        assert "lacks the field 'run'" in capsys.readouterr().err
