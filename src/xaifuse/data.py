@@ -24,14 +24,6 @@ class DataError(Exception):
 # rest are distinct misbehavior modes (constant position, constant offset,
 # random position, random offset, eventual stop).
 VEREMI_LABEL_ROSTER = (0, 1, 2, 4, 8, 16)
-VEREMI_LABEL_NAMES = {
-    0: "benign",
-    1: "constant",
-    2: "constant_offset",
-    4: "random",
-    8: "random_offset",
-    16: "eventual_stop",
-}
 
 VEREMI_FEATURES = ("pos_x", "pos_y", "pos_z", "spd_x", "spd_y", "spd_z")
 

@@ -231,7 +231,6 @@ METHOD_LABELS = {
     "shap": "SHAP",
     "lime": "LIME",
     "dalex": "DALEX",
-    "permutation": "DALEX",
     "leveled": "Leveled",
 }
 

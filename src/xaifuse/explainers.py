@@ -91,10 +91,6 @@ class ShapMatrix:
     base_values: np.ndarray
     outputs: np.ndarray
 
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[2]
-
 
 def _target_columns(model) -> list[int]:
     """Which probability columns to explain: positive class for binary

@@ -8,7 +8,7 @@ so the evaluation never reuses a ranked model.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+import inspect
 from enum import Enum
 
 import numpy as np
@@ -67,103 +67,42 @@ EVALUATION_FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    criterion: str = "gini"
-    max_depth: int = 50
-    min_samples_leaf: int = 4
-    min_samples_split: int = 2
-
-
-@dataclass(frozen=True)
-class ForestParams:
-    n_estimators: int = 100
-    max_depth: int = 50
-    min_samples_leaf: int = 1
-    min_samples_split: int = 2
-    bootstrap: bool = True
-
-
-@dataclass(frozen=True)
-class MlpParams:
-    hidden_units: int = 16
-    dropout: float = 0.1
-    epochs: int = 5
-    batch_size: int = 100
-    learning_rate: float = 1e-3
-
-
-@dataclass(frozen=True)
-class KnnParams:
-    n_neighbors: int = 5
-    p: float = 2.0
-
-
-@dataclass(frozen=True)
-class SvmParams:
-    c: float = 1.0
-    gamma: str | float = "auto"  # auto resolves to 1 / n_features
-    tol: float = 1e-3
-    updates_per_row: int = 10
-
-
-@dataclass(frozen=True)
-class AdaBoostParams:
-    n_estimators: int = 200
-    learning_rate: float = 1.0
-    base_max_depth: int = 50
-    base_min_samples_leaf: int = 1
-
-
-@dataclass(frozen=True)
-class GbdtParams:
-    n_estimators: int = 100
-    learning_rate: float = 0.03
-    max_depth: int = 10
-    min_samples_leaf: int = 1
-
-
-@dataclass(frozen=True)
-class LogisticParams:
-    c: float = 1.0
-    max_iter: int = 1000
-    class_weight: str | None = "balanced"
-
-
-_PARAM_TYPES = {
-    ModelFamily.DECISION_TREE: TreeParams,
-    ModelFamily.RANDOM_FOREST: ForestParams,
-    ModelFamily.MLP: MlpParams,
-    ModelFamily.KNN: KnnParams,
-    ModelFamily.SVM_RBF: SvmParams,
-    ModelFamily.ADABOOST: AdaBoostParams,
-    ModelFamily.GBDT_LGBM_LIKE: GbdtParams,
-    ModelFamily.GBDT_CATBOOST_LIKE: GbdtParams,
-    ModelFamily.LOGISTIC_REGRESSION: LogisticParams,
+# Each family's class and the defaults in which the family differs from its
+# constructor. The constructor signature is the only list of hyperparameters.
+_FAMILIES = {
+    ModelFamily.DECISION_TREE: (DecisionTree, {"min_samples_leaf": 4}),
+    ModelFamily.RANDOM_FOREST: (RandomForest, {}),
+    ModelFamily.MLP: (MlpClassifier, {}),
+    ModelFamily.KNN: (KnnClassifier, {}),
+    ModelFamily.SVM_RBF: (SvmRbf, {}),
+    ModelFamily.ADABOOST: (AdaBoost, {}),
+    ModelFamily.GBDT_LGBM_LIKE: (GradientBoosting, {}),
+    # the two judge presets differ only in tree depth
+    ModelFamily.GBDT_CATBOOST_LIKE: (GradientBoosting, {"max_depth": 6}),
+    ModelFamily.LOGISTIC_REGRESSION: (LogisticRegression, {}),
 }
 
-# the two judge presets differ only in tree depth
-_GBDT_CATBOOST_DEFAULTS = GbdtParams(max_depth=6)
+
+def default_params(family: ModelFamily | str) -> dict:
+    """Settable hyperparameter names and defaults; the seed is not one."""
+    cls, preset = _FAMILIES[ModelFamily(family)]
+    params = inspect.signature(cls).parameters
+    return {
+        **{name: p.default for name, p in params.items() if name != "seed"},
+        **preset,
+    }
 
 
-def default_params(family: ModelFamily):
-    if family == ModelFamily.GBDT_CATBOOST_LIKE:
-        return _GBDT_CATBOOST_DEFAULTS
-    return _PARAM_TYPES[family]()
-
-
-def resolve_params(family: ModelFamily, overrides: dict | None):
+def resolve_params(family: ModelFamily | str, overrides: dict | None) -> dict:
     """Default hyperparameters with a dict of overrides applied."""
     base = default_params(family)
-    if not overrides:
-        return base
-    valid = {f.name for f in fields(base)}
-    unknown = set(overrides) - valid
+    overrides = overrides or {}
+    unknown = set(overrides) - set(base)
     if unknown:
         raise ValueError(
-            f"unknown hyperparameters for {family.value}: {sorted(unknown)}"
+            f"unknown hyperparameters for {ModelFamily(family).value}: {sorted(unknown)}"
         )
-    return type(base)(**{**asdict(base), **overrides})
+    return {**base, **overrides}
 
 
 def train_model(
@@ -176,24 +115,8 @@ def train_model(
     """Construct and fit one classifier. Stochastic families draw sub-seeds
     from (seed, family) so training order never matters."""
     family = ModelFamily(family)
+    cls = _FAMILIES[family][0]
     params = resolve_params(family, overrides)
-    sub_seed = derive_seed(seed, "train", family.value)
-    if family == ModelFamily.DECISION_TREE:
-        model = DecisionTree(**asdict(params))
-    elif family == ModelFamily.RANDOM_FOREST:
-        model = RandomForest(**asdict(params), seed=sub_seed)
-    elif family == ModelFamily.MLP:
-        model = MlpClassifier(**asdict(params), seed=sub_seed)
-    elif family == ModelFamily.KNN:
-        model = KnnClassifier(**asdict(params))
-    elif family == ModelFamily.SVM_RBF:
-        model = SvmRbf(**asdict(params))
-    elif family == ModelFamily.ADABOOST:
-        model = AdaBoost(**asdict(params))
-    elif family in (ModelFamily.GBDT_LGBM_LIKE, ModelFamily.GBDT_CATBOOST_LIKE):
-        model = GradientBoosting(**asdict(params))
-    elif family == ModelFamily.LOGISTIC_REGRESSION:
-        model = LogisticRegression(**asdict(params))
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled family: {family}")
-    return model.fit(X, y)
+    if "seed" in inspect.signature(cls).parameters:
+        params["seed"] = derive_seed(seed, "train", family.value)
+    return cls(**params).fit(X, y)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ovr import ovr_proba, ovr_targets, sigmoid
 from .tree import DecisionTree
 
 _PROBA_FLOOR = 1e-10
@@ -51,7 +52,6 @@ class AdaBoost:
         self.trees_: list[DecisionTree] = []
         for _ in range(self.n_estimators):
             tree = DecisionTree(
-                criterion="gini",
                 max_depth=self.base_max_depth,
                 min_samples_leaf=self.base_min_samples_leaf,
             ).fit(X, yi, sample_weight=w)
@@ -107,13 +107,12 @@ class _BinaryBooster:
         f = np.full(X.shape[0], self.prior_)
         self.trees_: list[DecisionTree] = []
         for _ in range(self.n_estimators):
-            p = 1.0 / (1.0 + np.exp(-f))
+            p = sigmoid(f)
             residual = y01 - p
             tree = DecisionTree(
-                criterion="mse",
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
-            ).fit(X, residual)
+            ).fit_regression(X, residual)
             leaves = tree.apply(X)
             uniq = np.unique(leaves)
             num = np.zeros(tree.node_count)
@@ -150,34 +149,21 @@ class GradientBoosting:
 
     def fit(self, X, y) -> "GradientBoosting":
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        self.classes_, yi = np.unique(y, return_inverse=True)
-        if len(self.classes_) < 2:
-            raise ValueError("need at least two classes")
-        if len(self.classes_) == 2:
-            targets = [1]
-        else:
-            targets = list(range(len(self.classes_)))
+        self.classes_, targets = ovr_targets(y)
         self._boosters = [
             _BinaryBooster(
                 self.n_estimators,
                 self.learning_rate,
                 self.max_depth,
                 self.min_samples_leaf,
-            ).fit(X, (yi == t).astype(np.float64))
+            ).fit(X, t)
             for t in targets
         ]
         return self
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        scores = np.column_stack([b.raw_score(X) for b in self._boosters])
-        probs = 1.0 / (1.0 + np.exp(-scores))
-        if len(self.classes_) == 2:
-            return np.column_stack([1.0 - probs[:, 0], probs[:, 0]])
-        total = probs.sum(axis=1, keepdims=True)
-        total[total == 0] = 1.0
-        return probs / total
+        return ovr_proba(np.column_stack([b.raw_score(X) for b in self._boosters]))
 
     def predict(self, X) -> np.ndarray:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

@@ -46,7 +46,6 @@ class RandomForest:
             else:
                 xt, yt = X, y
             tree = DecisionTree(
-                criterion="gini",
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 min_samples_split=self.min_samples_split,

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# query rows per distance block; bounds the block at CHUNK_SIZE x n_train
+CHUNK_SIZE = 1024
+
 
 class KnnClassifier:
     """Majority vote over the k closest training rows (minkowski metric).
@@ -13,14 +16,13 @@ class KnnClassifier:
     identical inputs, so repeated queries agree exactly.
     """
 
-    def __init__(self, n_neighbors: int = 5, p: float = 2.0, chunk_size: int = 1024):
+    def __init__(self, n_neighbors: int = 5, p: float = 2.0):
         if n_neighbors < 1:
             raise ValueError("n_neighbors must be positive")
         if p <= 0:
             raise ValueError("minkowski exponent must be positive")
         self.n_neighbors = n_neighbors
         self.p = p
-        self.chunk_size = chunk_size
 
     def fit(self, X, y) -> "KnnClassifier":
         self._x = np.asarray(X, dtype=np.float64)
@@ -38,8 +40,8 @@ class KnnClassifier:
         sq_train = None
         if self.p == 2.0:
             sq_train = (self._x**2).sum(axis=1)
-        for lo in range(0, n_query, self.chunk_size):
-            q = X[lo : lo + self.chunk_size]
+        for lo in range(0, n_query, CHUNK_SIZE):
+            q = X[lo : lo + CHUNK_SIZE]
             if self.p == 2.0:
                 d = (q**2).sum(axis=1)[:, None] - 2.0 * q @ self._x.T + sq_train
                 np.maximum(d, 0.0, out=d)

@@ -9,14 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ovr import ovr_proba, ovr_targets, sigmoid
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+# Newton iterations stop once no coefficient moves by more than this
+TOL = 1e-8
 
 
 class LogisticRegression:
@@ -24,7 +20,6 @@ class LogisticRegression:
         self,
         c: float = 1.0,
         max_iter: int = 1000,
-        tol: float = 1e-8,
         class_weight: str | None = "balanced",
     ):
         if c <= 0:
@@ -33,32 +28,27 @@ class LogisticRegression:
             raise ValueError("class_weight must be None or 'balanced'")
         self.c = c
         self.max_iter = max_iter
-        self.tol = tol
         self.class_weight = class_weight
 
     def fit(self, X, y) -> "LogisticRegression":
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        self.classes_, yi = np.unique(y, return_inverse=True)
+        self.classes_, targets = ovr_targets(y)
         n, p = X.shape
         k = len(self.classes_)
-        if k < 2:
-            raise ValueError("need at least two classes")
 
         if self.class_weight == "balanced":
+            yi = np.searchsorted(self.classes_, np.asarray(y))
             counts = np.bincount(yi, minlength=k)
             w_class = n / (k * counts.astype(np.float64))
             row_w = w_class[yi]
         else:
             row_w = np.ones(n)
 
-        n_models = 1 if k == 2 else k
-        self.coef_ = np.zeros((n_models, p))
-        self.intercept_ = np.zeros(n_models)
+        self.coef_ = np.zeros((len(targets), p))
+        self.intercept_ = np.zeros(len(targets))
         xb = np.column_stack([X, np.ones(n)])
         lam = 1.0 / self.c
-        for m in range(n_models):
-            target = (yi == (1 if k == 2 else m)).astype(np.float64)
+        for m, target in enumerate(targets):
             beta = self._irls(xb, target, row_w, lam, p)
             self.coef_[m] = beta[:p]
             self.intercept_[m] = beta[p]
@@ -73,7 +63,7 @@ class LogisticRegression:
         reg[p] = 0.0
         for _ in range(self.max_iter):
             z = xb @ beta
-            mu = _sigmoid(z)
+            mu = sigmoid(z)
             grad = xb.T @ (row_w * (mu - t)) + reg * beta
             s = row_w * mu * (1.0 - mu)
             h = (xb * s[:, None]).T @ xb + np.diag(reg)
@@ -81,7 +71,7 @@ class LogisticRegression:
             h[np.diag_indices_from(h)] += 1e-10
             step = np.linalg.solve(h, grad)
             beta = beta - step
-            if np.max(np.abs(step)) < self.tol:
+            if np.max(np.abs(step)) < TOL:
                 break
         return beta
 
@@ -92,14 +82,7 @@ class LogisticRegression:
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        z = X @ self.coef_.T + self.intercept_
-        if len(self.classes_) == 2:
-            p1 = _sigmoid(z[:, 0])
-            return np.column_stack([1.0 - p1, p1])
-        raw = _sigmoid(z)
-        total = raw.sum(axis=1, keepdims=True)
-        total[total == 0] = 1.0
-        return raw / total
+        return ovr_proba(X @ self.coef_.T + self.intercept_)
 
     def predict(self, X) -> np.ndarray:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

@@ -11,16 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..seeding import rng_for
+from .ovr import ovr_proba, sigmoid
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
 
 
 class MlpClassifier:
@@ -100,7 +97,7 @@ class MlpClassifier:
             t = target.astype(np.float64)
             # stable log(1 + exp(.)) form of the bernoulli cross-entropy
             loss = float(np.mean(np.maximum(zf, 0.0) - zf * t + np.log1p(np.exp(-np.abs(zf)))))
-            dz = ((_sigmoid(zf) - t) / n)[:, None]
+            dz = ((sigmoid(zf) - t) / n)[:, None]
         else:
             probs = _softmax(z)
             loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), target], 1e-300))))
@@ -164,10 +161,7 @@ class MlpClassifier:
         w1, b1, w2, b2 = self._unpack(self.params_, self.n_features_, k_out)
         h = np.maximum(X @ w1 + b1, 0.0)
         z = h @ w2 + b2
-        if self._binary:
-            p1 = _sigmoid(z[:, 0])
-            return np.column_stack([1.0 - p1, p1])
-        return _softmax(z)
+        return ovr_proba(z) if self._binary else _softmax(z)
 
     def predict(self, X) -> np.ndarray:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

@@ -1,0 +1,35 @@
+"""The logistic sigmoid and the one-vs-rest rule shared by the scorer families.
+
+A binary problem gets one scorer whose positive class is the higher label;
+a multiclass problem gets one scorer per class. Each scorer's raw score goes
+through the sigmoid, and multiclass rows are normalized to sum to one.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp(-z) overflows to inf for z < -709, which correctly yields 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def ovr_targets(y) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted classes of y and the 0/1 float target of each scorer."""
+    classes, yi = np.unique(np.asarray(y), return_inverse=True)
+    if len(classes) < 2:
+        raise ValueError("need at least two classes")
+    positives = [1] if len(classes) == 2 else range(len(classes))
+    return classes, [(yi == c).astype(np.float64) for c in positives]
+
+
+def ovr_proba(scores: np.ndarray) -> np.ndarray:
+    """Class probabilities from raw scores of shape (n, n_scorers)."""
+    probs = sigmoid(scores)
+    if probs.shape[1] == 1:
+        return np.column_stack([1.0 - probs[:, 0], probs[:, 0]])
+    total = probs.sum(axis=1, keepdims=True)
+    total[total == 0] = 1.0
+    return probs / total

@@ -15,11 +15,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ovr import ovr_proba, ovr_targets, sigmoid
+
 
 def _rbf(a: np.ndarray, b: np.ndarray, gamma: float, dtype=np.float64) -> np.ndarray:
-    d = (a**2).sum(axis=1)[:, None] - 2.0 * (a @ b.T) + (b**2).sum(axis=1)
+    # in place, so the float64 distance matrix is the only n x m temporary
+    d = a @ b.T
+    d *= -2.0
+    d += (a**2).sum(axis=1)[:, None]
+    d += (b**2).sum(axis=1)
     np.maximum(d, 0.0, out=d)
-    return np.exp(-gamma * d, dtype=dtype)
+    d *= -gamma
+    if dtype == np.float64:
+        return np.exp(d, out=d)
+    return np.exp(d, dtype=dtype)
 
 
 def _platt_fit(scores: np.ndarray, labels01: np.ndarray) -> tuple[float, float]:
@@ -30,7 +39,7 @@ def _platt_fit(scores: np.ndarray, labels01: np.ndarray) -> tuple[float, float]:
     a, b = 0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))
     for _ in range(100):
         z = a * scores + b
-        p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+        p = sigmoid(z)
         g = p - t
         ga = float(g @ scores)
         gb = float(g.sum())
@@ -121,9 +130,7 @@ class _BinarySvm:
         self.dual_coef_ = (alpha[sv] * y_pm[sv]).astype(np.float64)
         self.intercept_ = b
         train_scores = self.decision_function(X, gram_row=gram[:, sv])
-        self.platt_a_, self.platt_b_ = _platt_fit(
-            train_scores, (y_pm == 1).astype(np.int64)
-        )
+        self.platt_a_, self.platt_b_ = _platt_fit(train_scores, y_pm == 1)
         return self
 
     def decision_function(self, X, gram_row: np.ndarray | None = None) -> np.ndarray:
@@ -133,9 +140,9 @@ class _BinarySvm:
             )
         return gram_row.astype(np.float64) @ self.dual_coef_ + self.intercept_
 
-    def prob_positive(self, X) -> np.ndarray:
-        z = self.platt_a_ * self.decision_function(X) + self.platt_b_
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    def platt_score(self, X) -> np.ndarray:
+        """The decision value on the logit scale of the Platt sigmoid."""
+        return self.platt_a_ * self.decision_function(X) + self.platt_b_
 
 
 class SvmRbf:
@@ -155,28 +162,19 @@ class SvmRbf:
 
     def fit(self, X, y) -> "SvmRbf":
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
         n, p = X.shape
-        self.classes_ = np.unique(y)
-        if len(self.classes_) < 2:
-            raise ValueError("need at least two classes")
+        self.classes_, targets = ovr_targets(y)
         self.gamma_ = 1.0 / p if self.gamma == "auto" else float(self.gamma)
         # the full kernel matrix dominates memory; drop to float32 past 4096 rows
         dtype = np.float64 if n <= 4096 else np.float32
         gram = _rbf(X, X, self.gamma_, dtype=dtype)
         max_updates = self.updates_per_row * n
-        # binary needs one machine with the higher label as +1; multiclass
-        # gets one machine per class
-        if len(self.classes_) == 2:
-            targets = [self.classes_[1]]
-        else:
-            targets = list(self.classes_)
-        self._machines = []
-        for cls in targets:
-            y_pm = np.where(y == cls, 1.0, -1.0)
-            machine = _BinarySvm(self.c, self.gamma_, self.tol, max_updates)
-            machine.fit(X, y_pm, gram)
-            self._machines.append(machine)
+        self._machines = [
+            _BinarySvm(self.c, self.gamma_, self.tol, max_updates).fit(
+                X, 2.0 * t - 1.0, gram
+            )
+            for t in targets
+        ]
         return self
 
     def decision_function(self, X) -> np.ndarray:
@@ -186,13 +184,7 @@ class SvmRbf:
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if len(self.classes_) == 2:
-            p1 = self._machines[0].prob_positive(X)
-            return np.column_stack([1.0 - p1, p1])
-        raw = np.column_stack([m.prob_positive(X) for m in self._machines])
-        total = raw.sum(axis=1, keepdims=True)
-        total[total == 0] = 1.0
-        return raw / total
+        return ovr_proba(np.column_stack([m.platt_score(X) for m in self._machines]))
 
     def predict(self, X) -> np.ndarray:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

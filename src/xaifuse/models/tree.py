@@ -16,8 +16,16 @@ from __future__ import annotations
 import numpy as np
 
 
+def _check_rows(X) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("X must be a nonempty 2-d array")
+    return X
+
+
 class DecisionTree:
-    """CART-style tree for weighted classification (gini) or regression (mse).
+    """CART-style tree for weighted classification (gini, `fit`) or
+    regression (mse, `fit_regression`).
 
     After fit the tree is a set of flat arrays: feature_ (-1 marks a leaf),
     threshold_, children_left_, children_right_, value_ (class distribution
@@ -26,16 +34,12 @@ class DecisionTree:
 
     def __init__(
         self,
-        criterion: str = "gini",
         max_depth: int = 50,
         min_samples_leaf: int = 1,
         min_samples_split: int = 2,
     ):
-        if criterion not in ("gini", "mse"):
-            raise ValueError(f"unknown criterion: {criterion!r}")
         if max_depth < 0 or min_samples_leaf < 1 or min_samples_split < 2:
             raise ValueError("invalid tree size limits")
-        self.criterion = criterion
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_samples_split = min_samples_split
@@ -43,10 +47,9 @@ class DecisionTree:
     # -- fitting ---------------------------------------------------------
 
     def fit(self, X, y, sample_weight=None) -> "DecisionTree":
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise ValueError("X must be a nonempty 2-d array")
-        n, p = X.shape
+        """Grow a classification tree (gini) on labels y."""
+        X = _check_rows(X)
+        n = X.shape[0]
         w = (
             np.ones(n, dtype=np.float64)
             if sample_weight is None
@@ -54,22 +57,19 @@ class DecisionTree:
         )
         if w.shape != (n,) or np.any(w < 0):
             raise ValueError("sample_weight must be nonnegative with one entry per row")
-
-        if self.criterion == "gini":
-            y = np.asarray(y)
-            self.classes_, yi = np.unique(y, return_inverse=True)
-            k = len(self.classes_)
-            stat = np.zeros((n, k), dtype=np.float64)
-            stat[np.arange(n), yi] = w
-            self._yi = yi
-        else:
-            yv = np.asarray(y, dtype=np.float64)
-            self.classes_ = None
-            k = 1
-            stat = (w * yv)[:, None]
-            self._yv = yv
-        self.n_features_ = p
+        self.classes_, self._yi = np.unique(np.asarray(y), return_inverse=True)
+        k = len(self.classes_)
+        stat = np.zeros((n, k), dtype=np.float64)
+        stat[np.arange(n), self._yi] = w
         self._grow(X, stat, w, k)
+        return self
+
+    def fit_regression(self, X, y) -> "DecisionTree":
+        """Grow a regression tree (mse) on real targets y, every row weight 1."""
+        X = _check_rows(X)
+        self.classes_ = None
+        self._yv = np.asarray(y, dtype=np.float64)
+        self._grow(X, self._yv[:, None], np.ones(X.shape[0], dtype=np.float64), 1)
         return self
 
     def _grow(self, X: np.ndarray, stat: np.ndarray, w: np.ndarray, k: int) -> None:
@@ -115,7 +115,7 @@ class DecisionTree:
             tn = np.bincount(slot[ra], minlength=n_active)
             with np.errstate(invalid="ignore", divide="ignore"):
                 parent_score = np.where(tw > 0, (tot**2).sum(axis=1) / tw, 0.0)
-            if self.criterion == "gini":
+            if self.classes_ is not None:
                 impurity = tw - parent_score
             else:
                 sq = np.zeros(n_active)
@@ -248,7 +248,7 @@ class DecisionTree:
             if dist is not None:
                 value[i] = dist
         self.value_ = value
-        if self.criterion == "gini":
+        if self.classes_ is not None:
             del self._yi
         else:
             del self._yv

@@ -13,7 +13,12 @@ from xaifuse.models import (
     SvmRbf,
     default_params,
     resolve_params,
+    train_model,
 )
+from xaifuse.models import knn
+from xaifuse.models.ovr import ovr_targets
+from xaifuse.models.svm import _rbf
+from xaifuse.seeding import derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +125,9 @@ class TestDecisionTreeAgainstReference:
         w = rng.integers(1, 4, size=n).astype(float)
         min_leaf = int(rng.integers(1, 4))
         depth = int(rng.integers(1, 7))
-        tree = DecisionTree(
-            criterion="gini", max_depth=depth, min_samples_leaf=min_leaf
-        ).fit(X, y, sample_weight=w)
+        tree = DecisionTree(max_depth=depth, min_samples_leaf=min_leaf).fit(
+            X, y, sample_weight=w
+        )
         k = len(np.unique(y))
         ref = ref_build(X, y, w, "gini", depth, min_leaf, 2, k)
         grid = rng.integers(-2, 10, size=(200, p)).astype(float)
@@ -138,9 +143,7 @@ class TestDecisionTreeAgainstReference:
         y = rng.integers(-5, 6, size=n).astype(float)
         w = np.ones(n)
         depth = int(rng.integers(1, 6))
-        tree = DecisionTree(criterion="mse", max_depth=depth, min_samples_leaf=2).fit(
-            X, y
-        )
+        tree = DecisionTree(max_depth=depth, min_samples_leaf=2).fit_regression(X, y)
         ref = ref_build(X, y.astype(int), w, "mse", depth, 2, 2, 1)
         grid = rng.integers(-1, 7, size=(150, 3)).astype(float)
         got = tree.predict(grid)
@@ -207,7 +210,7 @@ class TestDecisionTreeBehavior:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            DecisionTree(criterion="entropy")
+            DecisionTree(max_depth=-1)
         with pytest.raises(ValueError):
             DecisionTree(min_samples_leaf=0)
 
@@ -267,14 +270,15 @@ class TestKnn:
             votes = np.bincount(y[near], minlength=3) / 5.0
             np.testing.assert_allclose(got[i], votes)
 
-    def test_chunking_invariant(self):
+    def test_chunking_invariant(self, monkeypatch):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(50, 3))
         y = rng.integers(0, 2, 50)
         q = rng.normal(size=(40, 3))
-        a = KnnClassifier(n_neighbors=3, chunk_size=7).fit(X, y).predict_proba(q)
-        b = KnnClassifier(n_neighbors=3, chunk_size=1000).fit(X, y).predict_proba(q)
-        np.testing.assert_array_equal(a, b)
+        model = KnnClassifier(n_neighbors=3).fit(X, y)
+        whole = model.predict_proba(q)
+        monkeypatch.setattr(knn, "CHUNK_SIZE", 7)
+        np.testing.assert_array_equal(model.predict_proba(q), whole)
 
     def test_minkowski_p1(self):
         X = np.array([[0.0, 0.0], [2.0, 0.0], [0.9, 0.9]])
@@ -332,6 +336,37 @@ class TestSvm:
         a = SvmRbf().fit(X, y).decision_function(X)
         b = SvmRbf().fit(X, y).decision_function(X)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_rbf_matches_plain_expression(self, dtype):
+        rng = np.random.default_rng(36)
+        a = rng.normal(size=(37, 4))
+        b = rng.normal(size=(23, 4))
+        for x, z in ((a, b), (a, a)):
+            d = (x**2).sum(axis=1)[:, None] - 2.0 * (x @ z.T) + (z**2).sum(axis=1)
+            np.maximum(d, 0.0, out=d)
+            want = np.exp(-0.3 * d, dtype=dtype)
+            got = _rbf(x, z, 0.3, dtype=dtype)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+class TestOneVsRest:
+    def test_binary_has_one_scorer_for_the_higher_label(self):
+        classes, targets = ovr_targets(np.array([4, 0, 4, 4]))
+        np.testing.assert_array_equal(classes, [0, 4])
+        assert len(targets) == 1
+        np.testing.assert_array_equal(targets[0], [1.0, 0.0, 1.0, 1.0])
+
+    def test_multiclass_has_one_scorer_per_class(self):
+        classes, targets = ovr_targets(np.array([2, 0, 1, 2]))
+        np.testing.assert_array_equal(classes, [0, 1, 2])
+        np.testing.assert_array_equal(np.column_stack(targets), np.eye(3)[[2, 0, 1, 2]])
+
+    @pytest.mark.parametrize("cls", [LogisticRegression, SvmRbf, GradientBoosting])
+    def test_single_class_rejected(self, cls):
+        with pytest.raises(ValueError, match="two classes"):
+            cls().fit(np.zeros((4, 2)), np.ones(4))
 
 
 class TestAdaBoost:
@@ -513,20 +548,47 @@ class TestDispatchAndSerialization:
     def test_gbdt_presets_differ_in_depth(self):
         lgbm = default_params(ModelFamily.GBDT_LGBM_LIKE)
         cat = default_params(ModelFamily.GBDT_CATBOOST_LIKE)
-        assert lgbm.max_depth == 10
-        assert cat.max_depth == 6
-        assert lgbm.learning_rate == cat.learning_rate == 0.03
+        assert lgbm["max_depth"] == 10
+        assert cat["max_depth"] == 6
+        assert lgbm["learning_rate"] == cat["learning_rate"] == 0.03
 
     def test_documented_defaults(self):
-        tree = default_params(ModelFamily.DECISION_TREE)
-        assert (tree.max_depth, tree.min_samples_leaf) == (50, 4)
-        forest = default_params(ModelFamily.RANDOM_FOREST)
-        assert (forest.n_estimators, forest.min_samples_leaf) == (100, 1)
-        ada = default_params(ModelFamily.ADABOOST)
-        assert (ada.n_estimators, ada.base_max_depth) == (200, 50)
-        knn = default_params(ModelFamily.KNN)
-        assert (knn.n_neighbors, knn.p) == (5, 2.0)
-        mlp = default_params(ModelFamily.MLP)
-        assert (mlp.hidden_units, mlp.epochs, mlp.batch_size) == (16, 5, 100)
-        lr = default_params(ModelFamily.LOGISTIC_REGRESSION)
-        assert (lr.c, lr.max_iter, lr.class_weight) == (1.0, 1000, "balanced")
+        gbdt = {"n_estimators": 100, "learning_rate": 0.03, "max_depth": 10, "min_samples_leaf": 1}
+        want = {
+            "decision_tree": {"max_depth": 50, "min_samples_leaf": 4, "min_samples_split": 2},
+            "random_forest": {
+                "n_estimators": 100,
+                "max_depth": 50,
+                "min_samples_leaf": 1,
+                "min_samples_split": 2,
+                "bootstrap": True,
+            },
+            "mlp": {
+                "hidden_units": 16,
+                "dropout": 0.1,
+                "epochs": 5,
+                "batch_size": 100,
+                "learning_rate": 1e-3,
+            },
+            "knn": {"n_neighbors": 5, "p": 2.0},
+            "svm_rbf": {"c": 1.0, "gamma": "auto", "tol": 1e-3, "updates_per_row": 10},
+            "adaboost": {
+                "n_estimators": 200,
+                "learning_rate": 1.0,
+                "base_max_depth": 50,
+                "base_min_samples_leaf": 1,
+            },
+            "gbdt_lgbm_like": gbdt,
+            "gbdt_catboost_like": {**gbdt, "max_depth": 6},
+            "logistic_regression": {"c": 1.0, "max_iter": 1000, "class_weight": "balanced"},
+        }
+        got = {f.value: default_params(f) for f in ModelFamily}
+        assert got == want
+
+    def test_seed_reaches_only_seeded_families(self):
+        rng = np.random.default_rng(35)
+        X = rng.normal(size=(40, 3))
+        y = (X[:, 0] > 0).astype(int)
+        forest = train_model("random_forest", X, y, seed=1, overrides={"n_estimators": 2})
+        assert forest.seed == derive_seed(1, "train", "random_forest")
+        assert not hasattr(train_model("knn", X, y, seed=1), "seed")

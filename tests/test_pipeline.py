@@ -107,6 +107,17 @@ class TestParseConfig:
                 }
             )
 
+    def test_tree_criterion_is_not_a_knob(self):
+        # the ranked tree is a classifier; a regression criterion only broke runs
+        with pytest.raises(ConfigError, match="criterion"):
+            parse_config(
+                {
+                    "seed": 1,
+                    "source": {"kind": "synthetic_sensor"},
+                    "models": {"decision_tree": {"criterion": "mse"}},
+                }
+            )
+
     def test_empty_models_rejected_for_real_sources(self):
         with pytest.raises(ConfigError, match="at least one model"):
             parse_config(
@@ -333,6 +344,14 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 2
+
+    def test_tree_criterion_override_exits_2(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path / "out", models={"decision_tree": {"criterion": "mse"}})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "criterion" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_data_error_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
