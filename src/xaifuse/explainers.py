@@ -4,9 +4,20 @@ score-to-rank conversion shared by all three.
 
 Shapley values use the interventional value function: v(S) averages the
 model output over background rows with the features in S pinned to the
-explained instance. All 2^p coalitions are enumerated, so the axioms
-(efficiency, dummy, symmetry) hold to floating-point precision rather
-than in expectation.
+explained instance. v is linear in the background rows, so the values are
+the mean over rows b of the Shapley values of the game v_b(S) of one
+(instance, b) pair. Both paths below compute those exactly, so the axioms
+(efficiency, dummy, symmetry) hold to floating-point precision rather than
+in expectation, and both refuse more than `exact_cap` features:
+
+- decision trees and random forests take interventional TreeSHAP
+  (Lundberg et al., Nat. Mach. Intell. 2020): each leaf is a box, and its
+  value is shared out among the path features that separate the instance
+  from b, without scoring any coalition row;
+- every other model takes a reduced coalition enumeration. In v_b only the
+  features that the model reads and on which the instance and b differ are
+  players; every other feature is a dummy. So only the 2^m hybrid rows of
+  those m players are scored, in blocks of at most ROW_BUDGET rows.
 """
 
 from __future__ import annotations
@@ -18,7 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .models.forest import RandomForest
+from .models.tree import DecisionTree
 from .seeding import rng_for
+
+# model rows per coalition block, so a block's hybrid rows take at most
+# ROW_BUDGET x p floats; TreeSHAP blocks hold at most ROW_BUDGET
+# (instance, background row, leaf) cells
+ROW_BUDGET = 1 << 14
 
 
 class ExplainError(Exception):
@@ -59,11 +77,13 @@ class ExplainerConfig:
 
 @dataclass(frozen=True)
 class ImportanceVector:
-    """Non-negative global importance per feature for one (model, method)."""
+    """Non-negative global importance per feature for one (model, method),
+    with the number of rows the explainer passed to the model."""
 
     scores: np.ndarray
     method: str
     model: str
+    model_rows: int = 0
 
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=np.float64)
@@ -84,12 +104,14 @@ class ShapMatrix:
     expose a single output (the positive-class probability), multiclass
     models one output per class. For every instance and output,
     values.sum(last axis) + base_values equals the model output exactly
-    (up to accumulated rounding well below 1e-9).
+    (up to accumulated rounding well below 1e-9). model_rows counts the
+    rows passed to predict_proba.
     """
 
     values: np.ndarray
     base_values: np.ndarray
     outputs: np.ndarray
+    model_rows: int = 0
 
 
 def _target_columns(model) -> list[int]:
@@ -125,8 +147,9 @@ def shap_values(
     background: np.ndarray,
     exact_cap: int = 16,
 ) -> ShapMatrix:
-    """Exact interventional Shapley values by coalition enumeration; the
-    result is deterministic, so no seed is taken."""
+    """Exact interventional Shapley values: TreeSHAP for decision trees and
+    random forests, reduced coalition enumeration for every other model.
+    The result is deterministic, so no seed is taken."""
     X = np.asarray(instances, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
@@ -143,32 +166,191 @@ def shap_values(
         )
 
     cols = _target_columns(model)
-    n_out = len(cols)
-    n_masks = 1 << p
-    masks = np.arange(n_masks, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(p)) & 1).astype(bool)  # (n_masks, p)
-    popcount = bits.sum(axis=1)
-    w_by_size = _coalition_weights(p)
+    outputs = model.predict_proba(X)[:, cols]
+    base = model.predict_proba(bg)[:, cols].mean(axis=0)
+    leaves = _leaf_boxes(model, cols, p)
+    if leaves is not None:
+        values, rows = _tree_shap(*leaves, X, bg), 0
+    else:
+        values, rows = _coalition_shap(model, cols, X, bg)
+    return ShapMatrix(
+        values=values,
+        base_values=np.tile(base, (n, 1)),
+        outputs=outputs,
+        model_rows=n + bg.shape[0] + rows,
+    )
 
-    # per feature: every coalition excluding it, paired with itself plus it
-    without = [masks[~bits[:, j]] for j in range(p)]
+
+# -- TreeSHAP -------------------------------------------------------------------
+
+
+def _leaf_boxes(model, cols: list[int], p: int):
+    """(lo, hi, value) per leaf of a model whose predict_proba averages
+    per-leaf class distributions, or None for any other model. A row
+    reaches a leaf iff lo < x <= hi on every feature (`apply` goes left on
+    <=); value holds the leaf's share of the explained columns."""
+    if isinstance(model, RandomForest):
+        trees = model.trees_
+    elif isinstance(model, DecisionTree):
+        trees = [model]
+    else:
+        return None
+    los, his, values = [], [], []
+    for tree in trees:
+        lo = np.full((tree.node_count, p), -np.inf)
+        hi = np.full((tree.node_count, p), np.inf)
+        nodes = np.array([0])
+        while len(nodes):
+            nodes = nodes[tree.feature_[nodes] >= 0]
+            f, t = tree.feature_[nodes], tree.threshold_[nodes]
+            left, right = tree.children_left_[nodes], tree.children_right_[nodes]
+            for child in (left, right):
+                lo[child], hi[child] = lo[nodes], hi[nodes]
+            hi[left, f] = np.minimum(hi[left, f], t)
+            lo[right, f] = np.maximum(lo[right, f], t)
+            nodes = np.concatenate([left, right])
+        # bootstrap samples can miss rare classes; align by label
+        dist = np.zeros((tree.node_count, len(model.classes_)))
+        dist[:, np.searchsorted(model.classes_, tree.classes_)] = tree.value_
+        leaf = tree.feature_ < 0
+        los.append(lo[leaf])
+        his.append(hi[leaf])
+        values.append(dist[leaf][:, cols])
+    value = np.concatenate(values) / len(trees)
+    return np.concatenate(los), np.concatenate(his), value
+
+
+def _leaf_shares(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shares of a leaf's value per feature, indexed [a, b]. A hybrid row
+    reaches the leaf iff it takes the a path features that only the instance
+    satisfies from the instance, and the b that only the background row
+    satisfies from the background row. Each of the a features gains
+    (a-1)! b! / (a+b)!, each of the b loses a! (b-1)! / (a+b)!."""
+    fact = [math.factorial(i) for i in range(p + 1)]
+    gain = np.zeros((p + 1, p + 1))
+    loss = np.zeros((p + 1, p + 1))
+    for a in range(p + 1):
+        for b in range(p + 1 - a):
+            if a:
+                gain[a, b] = fact[a - 1] * fact[b] / fact[a + b]
+            if b:
+                loss[a, b] = fact[a] * fact[b - 1] / fact[a + b]
+    return gain, loss
+
+
+def _inside(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(leaf, row, feature) 1.0 where the row's value lies in the leaf box."""
+    z = rows[None, :, :]
+    return ((lo[:, None, :] < z) & (z <= hi[:, None, :])).astype(np.float64)
+
+
+def _tree_shap(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    leaf_values: np.ndarray,
+    X: np.ndarray,
+    bg: np.ndarray,
+) -> np.ndarray:
+    """Interventional TreeSHAP over the leaf boxes, averaged over the
+    background rows; (n, n_out, p). A feature on no leaf's path gets
+    exactly 0."""
+    n, p = X.shape
     n_bg = bg.shape[0]
+    gain, loss = _leaf_shares(p)
+    total = np.zeros((leaf_values.shape[1], n, p))
+    leaf_step = max(1, ROW_BUDGET // n_bg)
+    for l0 in range(0, len(lo), leaf_step):
+        sl = slice(l0, l0 + leaf_step)
+        b_in = _inside(bg, lo[sl], hi[sl])  # (leaf, bg, p)
+        b_out = 1.0 - b_in
+        b_count = b_in.sum(axis=2)[:, None, :]
+        step = max(1, ROW_BUDGET // (b_in.shape[0] * n_bg))
+        for s in range(0, n, step):
+            x_in = _inside(X[s : s + step], lo[sl], hi[sl])  # (leaf, inst, p)
+            x_count = x_in.sum(axis=2)[:, :, None]
+            both = x_in @ b_in.transpose(0, 2, 1)  # (leaf, inst, bg)
+            only_x = (x_count - both).astype(np.int64)
+            only_b = (b_count - both).astype(np.int64)
+            # a path feature that fails both rows closes the leaf to every hybrid
+            reach = only_x + only_b + both == p
+            g = np.where(reach, gain[only_x, only_b], 0.0)
+            q = np.where(reach, loss[only_x, only_b], 0.0)
+            share = x_in * (g @ b_out) - (1.0 - x_in) * (q @ b_in)
+            total[:, s : s + step] += np.tensordot(leaf_values[sl], share, axes=(0, 0))
+    return total.transpose(1, 0, 2) / n_bg
 
-    values = np.empty((n, n_out, p))
-    base_values = np.empty((n, n_out))
-    outputs = np.empty((n, n_out))
-    for i in range(n):
-        z = np.where(bits[:, None, :], X[i], bg[None, :, :])  # (n_masks, n_bg, p)
-        proba = model.predict_proba(z.reshape(-1, p))[:, cols]
-        v = proba.reshape(n_masks, n_bg, n_out).mean(axis=1)  # (n_masks, n_out)
-        base_values[i] = v[0]
-        outputs[i] = v[-1]
-        for j in range(p):
-            lo = without[j]
-            hi = lo | (1 << j)
-            delta = v[hi] - v[lo]
-            values[i, :, j] = w_by_size[popcount[lo]] @ delta
-    return ShapMatrix(values=values, base_values=base_values, outputs=outputs)
+
+# -- reduced coalition enumeration ---------------------------------------------
+
+
+def _read_features(model, p: int) -> np.ndarray:
+    """Mask of the features a model's output can depend on: the split
+    features of a tree ensemble, every feature for other models."""
+    trees = getattr(model, "trees_", None)
+    if not trees or not all(hasattr(t, "feature_") for t in trees):
+        return np.ones(p, dtype=bool)
+    read = np.zeros(p, dtype=bool)
+    for t in trees:
+        read[t.feature_[t.feature_ >= 0]] = True
+    return read
+
+
+def _coalition_shap(
+    model, cols: list[int], X: np.ndarray, bg: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Shapley values by enumerating, for each (instance, background row)
+    pair, only the coalitions of its players; (n, n_out, p) and the rows
+    scored. Pairs are grouped by player set, and each group is scored in
+    blocks of at most ROW_BUDGET rows."""
+    n, p = X.shape
+    n_bg = bg.shape[0]
+    players = (X[:, None, :] != bg[None, :, :]) & _read_features(model, p)
+    sets, group = np.unique(players.reshape(-1, p), axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    ends = np.cumsum(np.bincount(group, minlength=len(sets)))
+    by_set = np.split(np.argsort(group, kind="stable"), ends[:-1])
+    total = np.zeros((n, p, len(cols)))
+    rows = 0
+    for in_set, pairs in zip(sets, by_set):
+        who = np.flatnonzero(in_set)
+        m = len(who)
+        if m == 0:  # the pair's game is constant: every feature is a dummy
+            continue
+        inst, back = np.divmod(pairs, n_bg)
+        local = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
+        pick = np.zeros((1 << m, p), dtype=bool)
+        pick[:, who] = local
+        size = local.sum(axis=1)
+        weight = _coalition_weights(m)[np.minimum(size, m - 1)]
+        step = max(1, ROW_BUDGET >> m)
+        for s in range(0, len(pairs), step):
+            i, b = inst[s : s + step], back[s : s + step]
+            v = np.empty((len(i), 1 << m, len(cols)))
+            for c0 in range(0, 1 << m, ROW_BUDGET):
+                part = pick[None, c0 : c0 + ROW_BUDGET]
+                z = np.where(part, X[i][:, None, :], bg[b][:, None, :])
+                v[:, c0 : c0 + part.shape[1]] = model.predict_proba(
+                    z.reshape(-1, p)
+                )[:, cols].reshape(len(i), part.shape[1], len(cols))
+            rows += v.shape[0] * v.shape[1]
+            np.add.at(total, (i[:, None], who), _pair_shapley(v, weight))
+    return total.transpose(0, 2, 1) / n_bg, rows
+
+
+def _pair_shapley(v: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Shapley values of m players from v over all 2^m coalitions, where bit
+    t of a coalition's index marks player t and weight[S] = w(|S|) for every
+    S without player t; (pairs, m, n_out). A player whose marginal
+    contributions are all exactly 0 gets exactly 0."""
+    k, n_s, n_out = v.shape
+    m = n_s.bit_length() - 1
+    phi = np.empty((k, m, n_out))
+    for t in range(m):
+        # split each coalition index at bit t: (high bits, bit t, low bits)
+        vt = v.reshape(k, n_s >> (t + 1), 2, 1 << t, n_out)
+        delta = (vt[:, :, 1] - vt[:, :, 0]).reshape(k, n_s >> 1, n_out)
+        phi[:, t] = weight.reshape(n_s >> (t + 1), 2, 1 << t)[:, 0].ravel() @ delta
+    return phi
 
 
 def shap_global(m: ShapMatrix, model_tag: str = "") -> ImportanceVector:
@@ -177,7 +359,9 @@ def shap_global(m: ShapMatrix, model_tag: str = "") -> ImportanceVector:
     if m.values.size == 0:
         raise ExplainError("empty attribution matrix")
     scores = np.abs(m.values).mean(axis=(0, 1))
-    return ImportanceVector(scores=scores, method="shap", model=model_tag)
+    return ImportanceVector(
+        scores=scores, method="shap", model=model_tag, model_rows=m.model_rows
+    )
 
 
 def _lime_target_column(model, instance: np.ndarray) -> int:
@@ -265,7 +449,14 @@ def lime_global(
         raise ExplainError(
             f"{failures} of {n_explain} instances failed to explain"
         )
-    return ImportanceVector(scores=acc / n_explain, method="lime", model=model_tag)
+    # multiclass models also score each instance once to pick its class
+    per_instance = cfg.lime_samples_per_instance + (len(model.classes_) > 2)
+    return ImportanceVector(
+        scores=acc / n_explain,
+        method="lime",
+        model=model_tag,
+        model_rows=n_explain * per_instance,
+    )
 
 
 def permutation_importance(
@@ -296,7 +487,12 @@ def permutation_importance(
             shuffled[:, j] = rows[perm, j]
             drops[r] = baseline - float(np.mean(model.predict(shuffled) == labels))
         scores[j] = max(0.0, float(drops.mean()))
-    return ImportanceVector(scores=scores, method="permutation", model=model_tag)
+    return ImportanceVector(
+        scores=scores,
+        method="permutation",
+        model=model_tag,
+        model_rows=n * (1 + p * rounds),
+    )
 
 
 def to_ranks(scores) -> np.ndarray:

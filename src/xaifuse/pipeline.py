@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -362,17 +362,29 @@ def parse_config(raw: Mapping) -> PipelineConfig:
 
 
 @dataclass(frozen=True)
+class ExplainCost:
+    """Wall time and model rows scored by one (model, method) explanation."""
+
+    model: str
+    method: str
+    seconds: float
+    model_rows: int
+
+
+@dataclass(frozen=True)
 class RunManifest:
     config_hash: str
     version: str
     stages: tuple[tuple[str, float], ...]
     artifacts: tuple[str, ...]
+    explanations: tuple[ExplainCost, ...] = ()
 
     def to_dict(self) -> dict:
         return {
             "config_hash": self.config_hash,
             "version": self.version,
             "stages": [{"name": n, "seconds": s} for n, s in self.stages],
+            "explanations": [asdict(c) for c in self.explanations],
             "artifacts": list(self.artifacts),
         }
 
@@ -395,13 +407,18 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_manifest(
-    out: Path, cfg_hash: str, clock: _StageClock, artifacts: list[str]
+    out: Path,
+    cfg_hash: str,
+    clock: _StageClock,
+    artifacts: list[str],
+    costs: Sequence[ExplainCost] = (),
 ) -> RunManifest:
     manifest = RunManifest(
         config_hash=cfg_hash,
         version=__version__,
         stages=tuple(clock.stages),
         artifacts=tuple(sorted(artifacts)),
+        explanations=tuple(costs),
     )
     _write_json(out / "manifest.json", manifest.to_dict())
     return manifest
@@ -457,39 +474,58 @@ def _explain_all(
     train: Dataset,
     rows: np.ndarray,
     labels: np.ndarray,
-) -> dict[str, list[ImportanceVector]]:
+) -> tuple[dict[str, list[ImportanceVector]], list[ExplainCost]]:
     by_method: dict[str, list[ImportanceVector]] = {m: [] for m in cfg.explain_methods}
+    costs: list[ExplainCost] = []
     probe = cfg.explainer_config(seed=0)
     background = train_sd = None
     if "shap" in by_method:
         background = select_background(train.rows, probe.background_size, cfg.seed)
     if "lime" in by_method:
         train_sd = train.rows.std(axis=0)
+
+    def timed(tag: str, method: str, explain) -> None:
+        t0 = time.perf_counter()
+        vector = explain()
+        seconds = time.perf_counter() - t0
+        by_method[method].append(vector)
+        costs.append(ExplainCost(tag, method, seconds, vector.model_rows))
+
     for tag, model in models.items():
         if "shap" in by_method:
-            matrix = shap_values(
-                model, rows, background, exact_cap=probe.shap_exact_cap
+            timed(
+                tag,
+                "shap",
+                lambda: shap_global(
+                    shap_values(
+                        model, rows, background, exact_cap=probe.shap_exact_cap
+                    ),
+                    model_tag=tag,
+                ),
             )
-            by_method["shap"].append(shap_global(matrix, model_tag=tag))
         if "lime" in by_method:
             lime_cfg = cfg.explainer_config(
                 seed=derive_seed(cfg.seed, "explain", "lime", tag)
             )
-            by_method["lime"].append(
-                lime_global(model, rows, train_sd, lime_cfg, model_tag=tag)
+            timed(
+                tag,
+                "lime",
+                lambda: lime_global(model, rows, train_sd, lime_cfg, model_tag=tag),
             )
         if "permutation" in by_method:
-            by_method["permutation"].append(
-                permutation_importance(
+            timed(
+                tag,
+                "permutation",
+                lambda: permutation_importance(
                     model,
                     rows,
                     labels,
                     rounds=probe.permutation_rounds,
                     seed=derive_seed(cfg.seed, "explain", "permutation", tag),
                     model_tag=tag,
-                )
+                ),
             )
-    return by_method
+    return by_method, costs
 
 
 def _rank_tables(
@@ -724,7 +760,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
 
     models = clock.run("train", lambda: _train_all(cfg, train))
     rows, labels = _explanation_rows(cfg, train)
-    by_method = clock.run(
+    by_method, costs = clock.run(
         "explain", lambda: _explain_all(cfg, models, train, rows, labels)
     )
     tables = clock.run("rank", lambda: _rank_tables(dataset.schema, by_method))
@@ -759,4 +795,4 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
             results,
         ),
     )
-    return _write_manifest(out, cfg.config_hash(), clock, artifacts)
+    return _write_manifest(out, cfg.config_hash(), clock, artifacts, costs)

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xaifuse import explainers
 from xaifuse.explainers import (
     ExplainError,
     ExplainerConfig,
@@ -18,7 +20,7 @@ from xaifuse.explainers import (
     to_ranks,
     write_importance_csv,
 )
-from xaifuse.models import DecisionTree, RandomForest
+from xaifuse.models import AdaBoost, DecisionTree, KnnClassifier, RandomForest
 
 
 class FnModel:
@@ -61,6 +63,60 @@ def permutation_definition_shapley(value_fn, x, background):
             phi[j] += v(frozenset(with_j)) - v(acc)
             acc = frozenset(with_j)
     return phi / len(orderings)
+
+
+def output_columns(model) -> list[int]:
+    k = len(model.classes_)
+    return [1] if k == 2 else list(range(k))
+
+
+def enumerated_shap(model, instances, background):
+    """Reference: score every one of the 2^p coalitions for every background
+    row, average, then take each feature's weighted marginal contributions;
+    (n, n_out, p)."""
+    X = np.atleast_2d(np.asarray(instances, dtype=np.float64))
+    n, p = X.shape
+    cols = output_columns(model)
+    masks = np.arange(1 << p)
+    bits = ((masks[:, None] >> np.arange(p)) & 1).astype(bool)
+    size = bits.sum(axis=1)
+    fact = [math.factorial(i) for i in range(p + 1)]
+    weight = np.array([fact[s] * fact[p - s - 1] / fact[p] for s in range(p)])
+    values = np.empty((n, len(cols), p))
+    for i in range(n):
+        z = np.where(bits[:, None, :], X[i], background[None, :, :])
+        v = model.predict_proba(z.reshape(-1, p))[:, cols]
+        v = v.reshape(len(masks), len(background), len(cols)).mean(axis=1)
+        for j in range(p):
+            lo = masks[~bits[:, j]]
+            values[i, :, j] = weight[size[lo]] @ (v[lo | (1 << j)] - v[lo])
+    return values
+
+
+def assert_matches_oracle(model, instances, background, values):
+    for out, col in enumerate(output_columns(model)):
+        for i, x in enumerate(instances):
+            oracle = permutation_definition_shapley(
+                lambda z: model.predict_proba(z)[:, col], x, background
+            )
+            np.testing.assert_allclose(values[i, out], oracle, rtol=0, atol=1e-9)
+
+
+def split_features(model) -> set[int]:
+    trees = getattr(model, "trees_", [model])
+    return {int(f) for t in trees for f in t.feature_ if f >= 0}
+
+
+class CountingFn(FnModel):
+    """FnModel that records the size of every predict_proba call."""
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.calls: list[int] = []
+
+    def predict_proba(self, X):
+        self.calls.append(len(X))
+        return super().predict_proba(X)
 
 
 class TestShapExamples:
@@ -172,6 +228,166 @@ class TestShapErrors:
         np.testing.assert_allclose(res.values[0, 0, 0], 1.0, atol=1e-9)
 
 
+def on_thresholds(model, rng, n, p):
+    """Rows whose values are drawn from the model's split thresholds on each
+    feature plus a few grid values, so many sit exactly on a threshold."""
+    trees = getattr(model, "trees_", [model])
+    rows = np.empty((n, p))
+    for j in range(p):
+        cuts = [t.threshold_[k] for t in trees for k in np.flatnonzero(t.feature_ == j)]
+        rows[:, j] = rng.choice(np.array(cuts + [-0.5, 0.0, 0.5, 1.0, 2.0]), size=n)
+    return rows
+
+
+class TestTreeShap:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 5),
+        n_classes=st.sampled_from([2, 3]),
+        forest=st.booleans(),
+        depth=st.integers(1, 4),
+    )
+    def test_matches_enumeration_and_oracle(self, seed, p, n_classes, forest, depth):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, size=(40, p)) / 2.0
+        X[:, p - 1] = 0.0  # no tree can split on it; explained rows still vary
+        y = rng.integers(0, n_classes, 40)
+        y[:n_classes] = np.arange(n_classes)
+        if forest:
+            model = RandomForest(n_estimators=4, max_depth=depth, seed=seed).fit(X, y)
+        else:
+            model = DecisionTree(max_depth=depth).fit(X, y)
+        instances = on_thresholds(model, rng, 3, p)
+        background = on_thresholds(model, rng, 5, p)
+        res = shap_values(model, instances, background)
+        want = enumerated_shap(model, instances, background)
+        np.testing.assert_allclose(res.values, want, rtol=0, atol=1e-12)
+        unsplit = sorted(set(range(p)) - split_features(model))
+        assert unsplit and np.all(res.values[:, :, unsplit] == 0.0)
+        if p <= 4:
+            assert_matches_oracle(model, instances, background, res.values)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_forest_with_a_tree_missing_a_class(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        X = rng.normal(size=(30, 3))
+        y = rng.integers(1, n_classes, 30)
+        y[0] = 0  # a single row of the first class, so columns must be realigned
+        forest = RandomForest(n_estimators=6, max_depth=3, seed=2).fit(X, y)
+        assert any(len(t.classes_) < n_classes for t in forest.trees_)
+        instances = on_thresholds(forest, rng, 3, 3)
+        background = np.vstack([X[:1], on_thresholds(forest, rng, 4, 3)])
+        res = shap_values(forest, instances, background)
+        want = enumerated_shap(forest, instances, background)
+        np.testing.assert_allclose(res.values, want, rtol=0, atol=1e-12)
+        assert_matches_oracle(forest, instances, background, res.values)
+
+    def test_scores_no_coalition_rows(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(60, 4))
+        forest = RandomForest(n_estimators=3, max_depth=3, seed=1).fit(
+            X, (X[:, 0] > 0).astype(int)
+        )
+        seen = []
+        inner = forest.predict_proba
+        forest.predict_proba = lambda z: seen.append(len(z)) or inner(z)
+        res = shap_values(forest, X[:5], X[10:17])
+        assert sorted(seen) == [5, 7] and res.model_rows == 12
+
+
+GRID = np.array([-1.0, 0.0, 0.5, 2.0])
+
+
+class TestReducedEnumeration:
+    """Models without a tree path: only features that the model reads and
+    on which the instance and background row differ are enumerated."""
+
+    def check(self, model, instances, background, dummies):
+        res = shap_values(model, instances, background)
+        assert_matches_oracle(model, instances, background, res.values)
+        assert np.all(res.values[:, :, dummies] == 0.0)
+        cols = output_columns(model)
+        np.testing.assert_array_equal(res.outputs, model.predict_proba(instances)[:, cols])
+        base = model.predict_proba(background)[:, cols].mean(axis=0)
+        np.testing.assert_array_equal(res.base_values, np.tile(base, (len(instances), 1)))
+        return res
+
+    @staticmethod
+    def players(instances, background, read):
+        return ((instances[:, None, :] != background[None, :, :]) & read).sum(axis=2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_function_ignoring_a_column(self, seed):
+        rng = np.random.default_rng(seed)
+        model = CountingFn(
+            lambda z: 0.5 + 0.1 * z[:, 0] * z[:, 1] - 0.05 * z[:, 3] + 0.02 * z[:, 1] ** 2
+        )
+        instances = rng.choice(GRID, size=(3, 4))
+        background = rng.choice(GRID, size=(5, 4))
+        res = self.check(model, instances, background, dummies=[2])
+        # a function reads every column, so a differing column 2 is still
+        # scored, and still gets exactly 0
+        m = self.players(instances, background, np.ones(4, dtype=bool))
+        expected = 3 + 5 + int(sum(2**k for k in m.ravel() if k))
+        model.calls.clear()
+        shap_values(model, instances, background)
+        assert res.model_rows == expected == sum(model.calls)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_multi_tree_adaboost(self, n_classes):
+        rng = np.random.default_rng(10 + n_classes)
+        X = rng.choice(GRID, size=(120, 5))
+        X[:, 4] = 0.5  # constant in training, so no tree splits on it
+        noisy = X[:, 0] + X[:, 1] - X[:, 2] + rng.normal(0, 0.8, 120)
+        y = np.digitize(noisy, [0.3] if n_classes == 2 else [-0.5, 1.0])
+        model = AdaBoost(n_estimators=4, base_max_depth=2).fit(X, y)
+        assert len(model.trees_) > 1
+        instances = rng.choice(GRID, size=(3, 5))
+        background = rng.choice(GRID, size=(4, 5))
+        unsplit = sorted(set(range(5)) - split_features(model))
+        assert 4 in unsplit
+        res = self.check(model, instances, background, dummies=unsplit)
+        read = np.isin(np.arange(5), sorted(split_features(model)))
+        m = self.players(instances, background, read)
+        assert res.model_rows == 3 + 4 + int(sum(2**k for k in m.ravel() if k))
+
+    def test_knn_with_a_constant_column(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(80, 4))
+        X[:, 1] = 0.5
+        model = KnnClassifier(n_neighbors=5).fit(X, (X[:, 0] + X[:, 2] > 0).astype(int))
+        instances = rng.choice(GRID, size=(3, 4))
+        background = rng.choice(GRID, size=(6, 4))
+        instances[:, 1] = background[:, 1] = 0.5
+        res = self.check(model, instances, background, dummies=[1])
+        assert res.model_rows < 3 + 6 + 3 * 6 * 2**3
+
+
+class TestRowBudget:
+    def test_blocks_do_not_change_attributions(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(120, 5))
+        y = (X[:, 0] - X[:, 3] > 0).astype(int)
+        models = [
+            RandomForest(n_estimators=3, max_depth=3, seed=1).fit(X, y),
+            KnnClassifier(n_neighbors=5).fit(X, y),
+            AdaBoost(n_estimators=3, base_max_depth=2).fit(X, y),
+            CountingFn(lambda z: 0.5 + 0.1 * z[:, 0] * z[:, 4] - 0.2 * z[:, 2]),
+        ]
+        instances, background = X[:4], X[50:56]
+        before = [shap_values(m, instances, background) for m in models]
+        models[-1].calls.clear()
+        monkeypatch.setattr(explainers, "ROW_BUDGET", 7)
+        after = [shap_values(m, instances, background) for m in models]
+        for a, b in zip(before, after):
+            np.testing.assert_allclose(b.values, a.values, rtol=0, atol=1e-12)
+            assert a.model_rows == b.model_rows
+        # past the instances and background, every call is one block
+        assert max(models[-1].calls[2:]) <= 7 < 2**5
+
+
 class TestShapGlobal:
     def test_mean_absolute_value(self):
         m = shap_values(
@@ -281,6 +497,32 @@ class TestLime:
         cfg = self.cfg(seed=10, lime_instances=8, lime_samples_per_instance=500)
         iv = lime_global(model, rows, np.ones(2), cfg)
         assert iv.scores[1] > 0.5 * iv.scores[0] > 0.0
+
+
+class TestModelRows:
+    """Each explainer reports exactly the rows it passed to the model."""
+
+    @staticmethod
+    def counted(model):
+        seen = []
+        for name in ("predict_proba", "predict"):
+            inner = getattr(model, name)
+            setattr(model, name, lambda z, f=inner: seen.append(len(z)) or f(z))
+        return seen
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_lime_and_permutation(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        X = rng.normal(size=(60, 3))
+        y = rng.integers(0, n_classes, 60)
+        model = DecisionTree(max_depth=3).fit(X, y)
+        seen = self.counted(model)
+        cfg = ExplainerConfig(seed=1, lime_instances=5, lime_samples_per_instance=40)
+        iv = lime_global(model, X[:8], X.std(axis=0), cfg)
+        assert iv.model_rows == sum(seen) == 5 * (40 + (n_classes > 2))
+        seen.clear()
+        iv = permutation_importance(model, X[:8], y[:8], rounds=2, seed=1)
+        assert iv.model_rows == sum(seen) == 8 * (1 + 3 * 2)
 
 
 class TestPermutationImportance:

@@ -224,6 +224,36 @@ class TestRunPipeline:
             "evaluate",
             "report",
         ]
+        # 6 explained rows of 10 features, 8 background rows, 2 rounds
+        costs = listed["explanations"]
+        assert [(c["model"], c["method"]) for c in costs] == [
+            ("decision_tree", "shap"),
+            ("decision_tree", "permutation"),
+            ("knn", "shap"),
+            ("knn", "permutation"),
+        ]
+        assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in costs)
+        rows = {(c["model"], c["method"]): c["model_rows"] for c in costs}
+        assert rows[("decision_tree", "shap")] == 6 + 8  # TreeSHAP scores no coalition
+        assert 6 + 8 < rows[("knn", "shap")] < 6 + 8 + 6 * 8 * 2**10
+        assert rows[("decision_tree", "permutation")] == 6 * (1 + 10 * 2)
+        assert rows[("knn", "permutation")] == 6 * (1 + 10 * 2)
+
+    def test_manifest_counts_lime_rows(self, tmp_path):
+        explainers = {
+            "methods": ["lime"],
+            "max_explained_instances": 6,
+            "lime_instances": 4,
+            "lime_samples_per_instance": 50,
+        }
+        cfg = parse_config(
+            tiny_config(tmp_path / "run", models=["decision_tree"], explainers=explainers)
+        )
+        run_pipeline(cfg)
+        listed = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert [(c["model"], c["method"], c["model_rows"]) for c in listed["explanations"]] == [
+            ("decision_tree", "lime", 4 * 50)
+        ]
 
     def test_conformance_is_null_for_generated_data(self, tmp_path):
         cfg = parse_config(tiny_config(tmp_path / "run"))
