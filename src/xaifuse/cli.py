@@ -32,6 +32,7 @@ from .fusion import (
 )
 from .pipeline import (
     ConfigError,
+    SourceSpec,
     TrainingError,
     parse_config,
     render_summary_from_artifacts,
@@ -62,10 +63,11 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"config file not found: {args.config}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["out_dir"] = args.out
+    # parse_config refuses a config that is not an object
+    if isinstance(raw, dict):
+        for key, value in (("seed", args.seed), ("out_dir", args.out)):
+            if value is not None:
+                raw[key] = value
     cfg = parse_config(raw)
     manifest = run_pipeline(cfg)
     print(f"config hash: {manifest.config_hash}")
@@ -82,9 +84,10 @@ def _parse_points(text: str) -> tuple[float, ...]:
 
 
 def _cmd_fuse(args) -> int:
-    spec = FusionSpec(
-        points=_parse_points(args.points), mode=args.mode, top_k=args.top_k
-    )
+    given = {"mode": args.mode, "top_k": args.top_k}
+    if args.points is not None:
+        given["points"] = _parse_points(args.points)
+    spec = FusionSpec(**{k: v for k, v in given.items() if v is not None})
     tables = {Path(p).stem: read_rank_table(p) for p in args.tables}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -131,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="synthesize a labeled sensor CSV")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--anomaly-fraction", type=float, default=0.5)
+    p.add_argument("--n", type=int, default=SourceSpec.n_rows)
+    p.add_argument("--anomaly-fraction", type=float, default=SourceSpec.anomaly_fraction)
     p.add_argument(
         "--violable",
         default=None,
@@ -148,10 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse", help="fuse rank-table CSVs")
     p.add_argument("tables", nargs="+", help="rank-table CSV paths")
-    p.add_argument("--points", default="3,2,1")
-    p.add_argument("--mode", choices=("weighted_points", "mean_rank"),
-                   default="weighted_points")
-    p.add_argument("--top-k", type=int, default=4)
+    # absent fusion flags take FusionSpec's defaults
+    p.add_argument("--points", help="comma-separated points per place")
+    p.add_argument("--mode", choices=("weighted_points", "mean_rank"))
+    p.add_argument("--top-k", type=int)
     p.add_argument("--out", default=".", help="directory for fused CSVs")
     p.set_defaults(func=_cmd_fuse)
 

@@ -1,6 +1,5 @@
 """Feature-importance computation: exact Shapley values, local linear
-surrogates aggregated globally, and permutation importance, plus the
-score-to-rank conversion shared by all three.
+surrogates aggregated globally, and permutation importance.
 
 Shapley values use the interventional value function: v(S) averages the
 model output over background rows with the features in S pinned to the
@@ -29,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fusion import to_ranks
 from .models.forest import RandomForest
 from .models.tree import DecisionTree
 from .seeding import rng_for
@@ -43,9 +43,16 @@ class ExplainError(Exception):
     """Raised when an explanation cannot be computed as configured."""
 
 
+XAI_METHOD_NAMES = ("shap", "lime", "permutation")
+
+
 @dataclass(frozen=True)
 class ExplainerConfig:
-    seed: int
+    """The `explainers` section of a run config. The README's config
+    reference gives each key with its type, default and constraint."""
+
+    methods: tuple[str, ...] = XAI_METHOD_NAMES
+    max_explained_instances: int = 2000
     background_size: int = 100
     lime_samples_per_instance: int = 1000
     lime_kernel_width: float | None = None  # None resolves to 0.75 * sqrt(p)
@@ -55,7 +62,14 @@ class ExplainerConfig:
     shap_exact_cap: int = 16
 
     def __post_init__(self) -> None:
+        names = set(self.methods)
+        if not names <= set(XAI_METHOD_NAMES) or len(names) != len(self.methods):
+            raise ExplainError(
+                f"methods must be distinct names from {XAI_METHOD_NAMES}, "
+                f"got {list(self.methods)}"
+            )
         counts = (
+            self.max_explained_instances,
             self.background_size,
             self.lime_samples_per_instance,
             self.lime_instances,
@@ -378,6 +392,7 @@ def lime_explain_instance(
     instance: np.ndarray,
     sd: np.ndarray,
     cfg: ExplainerConfig,
+    seed: int,
     instance_index: int = 0,
 ) -> np.ndarray:
     """Signed coefficients of a locally weighted linear surrogate.
@@ -385,13 +400,14 @@ def lime_explain_instance(
     Perturbations are gaussian around the instance with the training
     split's per-feature sd; sample weights decay with standardized
     euclidean distance under an exponential kernel. The least-squares solve
-    carries ridge damping on the coefficients (never the intercept).
+    carries ridge damping on the coefficients (never the intercept). The
+    perturbations come from the (seed, "lime", instance_index) stream.
     """
     x = np.asarray(instance, dtype=np.float64)
     p = x.shape[0]
     sd = np.asarray(sd, dtype=np.float64)
     sd_safe = np.where(sd > 0, sd, 1.0)
-    rng = rng_for(cfg.seed, "lime", instance_index)
+    rng = rng_for(seed, "lime", instance_index)
     z = x + rng.normal(size=(cfg.lime_samples_per_instance, p)) * sd
     col = _lime_target_column(model, x)
     y = model.predict_proba(z)[:, col]
@@ -427,6 +443,7 @@ def lime_global(
     rows: np.ndarray,
     sd: np.ndarray,
     cfg: ExplainerConfig,
+    seed: int,
     model_tag: str = "",
 ) -> ImportanceVector:
     """Mean absolute surrogate coefficient over the first lime_instances
@@ -440,7 +457,7 @@ def lime_global(
     failures = 0
     for i in range(n_explain):
         try:
-            coef = lime_explain_instance(model, rows[i], sd, cfg, instance_index=i)
+            coef = lime_explain_instance(model, rows[i], sd, cfg, seed, i)
         except ExplainError:
             failures += 1
             continue
@@ -495,18 +512,6 @@ def permutation_importance(
     )
 
 
-def to_ranks(scores) -> np.ndarray:
-    """Ordinal ranks 1..p by descending score; ties go to the lower index."""
-    if isinstance(scores, ImportanceVector):
-        scores = scores.scores
-    scores = np.asarray(scores, dtype=np.float64)
-    p = len(scores)
-    order = np.lexsort((np.arange(p), -scores))
-    ranks = np.empty(p, dtype=np.int64)
-    ranks[order] = np.arange(1, p + 1)
-    return ranks
-
-
 def write_importance_csv(
     path: str | Path,
     feature_names: tuple[str, ...] | list[str],
@@ -521,6 +526,6 @@ def write_importance_csv(
         for iv in vectors:
             if len(iv.scores) != len(feature_names):
                 raise ExplainError("importance length does not match feature names")
-            ranks = to_ranks(iv)
+            ranks = to_ranks(iv.scores)
             for name, score, rank in zip(feature_names, iv.scores, ranks):
                 writer.writerow([name, repr(float(score)), int(rank), iv.method, iv.model])

@@ -62,11 +62,6 @@ class RankTable:
     def feature_count(self) -> int:
         return len(self.feature_names)
 
-    def column_is_permutation(self, source: str) -> bool:
-        j = self.sources.index(source)
-        col = np.sort(self.ranks[:, j])
-        return bool(np.array_equal(col, np.arange(1, self.feature_count + 1)))
-
 
 @dataclass(frozen=True)
 class FusionSpec:
@@ -87,12 +82,22 @@ class FusionSpec:
             raise FusionError("top_k must be positive")
 
 
+def to_ranks(scores) -> np.ndarray:
+    """Ordinal ranks 1..p by descending score; ties go to the lower index.
+    Importance vectors, fused orderings and level 2 all rank by this rule."""
+    scores = np.asarray(scores, dtype=np.float64)
+    p = len(scores)
+    order = np.lexsort((np.arange(p), -scores))
+    ranks = np.empty(p, dtype=np.int64)
+    ranks[order] = np.arange(1, p + 1)
+    return ranks
+
+
 @dataclass(frozen=True)
 class FusedRanking:
     feature_names: tuple[str, ...]
     scores: np.ndarray
-    ordering: tuple[int, ...] = field(init=False)
-    tie_groups: tuple[tuple[int, ...], ...] = field(init=False)
+    ordering: tuple[int, ...] = field(init=False)  # feature indices by rank
 
     def __post_init__(self) -> None:
         names = tuple(self.feature_names)
@@ -101,26 +106,10 @@ class FusedRanking:
             raise FusionError("scores and feature names disagree in length")
         scores = scores.copy()
         scores.setflags(write=False)
-        p = len(names)
-        order = tuple(int(i) for i in np.lexsort((np.arange(p), -scores)))
-        groups: list[tuple[int, ...]] = []
-        start = 0
-        for i in range(1, p + 1):
-            if i == p or scores[order[i]] != scores[order[start]]:
-                if i - start > 1:
-                    groups.append(tuple(order[start:i]))
-                start = i
+        order = tuple(int(i) for i in np.argsort(to_ranks(scores)))
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "ordering", order)
-        object.__setattr__(self, "tie_groups", tuple(groups))
-
-    def induced_ranks(self) -> np.ndarray:
-        """Ordinal rank per feature implied by the fused ordering."""
-        ranks = np.empty(len(self.feature_names), dtype=np.int64)
-        for pos, f in enumerate(self.ordering):
-            ranks[f] = pos + 1
-        return ranks
 
 
 @dataclass(frozen=True)
@@ -157,7 +146,7 @@ def two_level_fuse(
     level2 = RankTable(
         feature_names=next(iter(rosters)),
         sources=tuple(methods),
-        ranks=np.column_stack([per_method[m].induced_ranks() for m in methods]),
+        ranks=np.column_stack([to_ranks(per_method[m].scores) for m in methods]),
     )
     return per_method, fuse_ranks(level2, spec)
 
@@ -206,6 +195,11 @@ def read_rank_table(path: str | Path) -> RankTable:
         for record in reader:
             if not record:
                 continue
+            if len(record) != len(header):
+                raise FusionError(
+                    f"line {reader.line_num} of {path} has {len(record)} cells, "
+                    f"the header {len(header)}: {record}"
+                )
             names.append(record[0].strip())
             try:
                 rows.append([int(cell) for cell in record[1:]])

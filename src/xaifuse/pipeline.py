@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .explainers import (
     select_background,
     shap_global,
     shap_values,
-    to_ranks,
     write_importance_csv,
 )
 from .fixtures import DATASETS, REFERENCE_TOP_K, load_rank_fixtures
@@ -57,6 +56,7 @@ from .fusion import (
     FusionError,
     FusionSpec,
     RankTable,
+    to_ranks,
     top_k,
     two_level_fuse,
     write_fused,
@@ -80,100 +80,76 @@ class TrainingError(Exception):
     pass
 
 
-XAI_METHOD_NAMES = ("shap", "lime", "permutation")
-
 _SCHEMAS = {"veremi": VEREMI_SCHEMA, "sensor": SENSOR_SCHEMA}
 
 
 # -- configuration ------------------------------------------------------------
+#
+# The dataclasses here, with ExplainerConfig, FusionSpec and SamplerConfig's
+# train_fraction, are the config schema: each init field is a key, its
+# annotation the JSON type and its default the value of an absent key.
+# `parse_config` walks them; the README's config reference tabulates them.
+
+# metadata of the fields that only a source of one kind takes
+_CSV = {"kind": "csv"}
+_SENSOR = {"kind": "synthetic_sensor"}
 
 
 @dataclass(frozen=True)
 class SourceSpec:
     kind: str  # csv | synthetic_sensor | fixtures
-    path: str | None = None
-    schema: str | None = None
-    features: tuple[str, ...] | None = None
-    label_column: str | None = None
-    n_rows: int = 10_000
-    anomaly_fraction: float = 0.5
-    violable_features: tuple[str, ...] | None = None
+    path: str | None = field(default=None, metadata=_CSV)
+    schema: str | None = field(default=None, metadata=_CSV)
+    features: tuple[str, ...] | None = field(default=None, metadata=_CSV)
+    label_column: str | None = field(default=None, metadata=_CSV)
+    n_rows: int = field(default=10_000, metadata=_SENSOR)
+    anomaly_fraction: float = field(default=0.5, metadata=_SENSOR)
+    violable_features: tuple[str, ...] | None = field(default=None, metadata=_SENSOR)
 
-    def to_dict(self) -> dict:
-        d: dict[str, Any] = {"kind": self.kind}
+    def __post_init__(self) -> None:
+        if self.kind not in ("csv", "synthetic_sensor", "fixtures"):
+            raise ConfigError(f"unknown source kind: {self.kind!r}")
         if self.kind == "csv":
-            d["path"] = self.path
-            if self.schema is not None:
-                d["schema"] = self.schema
-            if self.features is not None:
-                d["features"] = list(self.features)
-                d["label_column"] = self.label_column
-        elif self.kind == "synthetic_sensor":
-            d["n_rows"] = self.n_rows
-            d["anomaly_fraction"] = self.anomaly_fraction
-            if self.violable_features is not None:
-                d["violable_features"] = list(self.violable_features)
-        return d
+            if not self.path:
+                raise ConfigError("csv source needs a path")
+            if self.schema is None and self.features is None:
+                raise ConfigError("csv source needs either a schema name or features")
+            if self.schema is not None and self.features is not None:
+                raise ConfigError("schema and features are mutually exclusive")
+            if self.schema is not None and self.schema not in _SCHEMAS:
+                raise ConfigError(f"unknown schema name: {self.schema!r}")
+            if self.features == ():
+                raise ConfigError("features must be a non-empty list")
+            if self.features is not None and not self.label_column:
+                raise ConfigError("explicit features need a label_column")
+            if self.features is None and self.label_column is not None:
+                raise ConfigError("label_column requires features")
+            self.feature_schema()  # refuses repeated features or a label among them
+        if self.kind == "synthetic_sensor":
+            if self.n_rows < 2:
+                raise ConfigError("n_rows must be at least 2")
+            if not 0.0 < self.anomaly_fraction < 1.0:
+                raise ConfigError("anomaly_fraction must lie strictly between 0 and 1")
 
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    seed: int
-    source: SourceSpec
-    mode: str = "binary"
-    models: tuple[tuple[ModelFamily, dict], ...] = ()
-    classifiers: tuple[tuple[ModelFamily, dict], ...] = ()
-    explain_methods: tuple[str, ...] = XAI_METHOD_NAMES
-    explainer: dict = field(default_factory=dict)
-    max_explained_instances: int = 2000
-    fusion: FusionSpec = field(default_factory=lambda: FusionSpec())
-    train_fraction: float = 0.7
-    undersample: bool = True
-    out_dir: str = "xaifuse-out"
-
-    def explainer_config(self, seed: int) -> ExplainerConfig:
-        return ExplainerConfig(seed=seed, **self.explainer)
-
-    def to_dict(self) -> dict:
-        """Semantic config only; the output directory is delivery plumbing
-        and stays out of the hash."""
-        return {
-            "seed": self.seed,
-            "source": self.source.to_dict(),
-            "mode": self.mode,
-            "models": {f.value: dict(o) for f, o in self.models},
-            "independent_classifiers": {f.value: dict(o) for f, o in self.classifiers},
-            "explainers": {
-                "methods": list(self.explain_methods),
-                "max_explained_instances": self.max_explained_instances,
-                **self.explainer,
-            },
-            "fusion": {
-                "mode": self.fusion.mode,
-                "points": list(self.fusion.points),
-                "top_k": self.fusion.top_k,
-            },
-            "train_fraction": self.train_fraction,
-            "undersample": self.undersample,
-        }
-
-    def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return sha256(canonical.encode("utf-8")).hexdigest()
-
-    def known_feature_count(self) -> int | None:
-        if self.source.kind == "synthetic_sensor":
-            return SENSOR_SCHEMA.feature_count
-        if self.source.kind == "csv":
-            if self.source.features is not None:
-                return len(self.source.features)
-            if self.source.schema is not None:
-                return _SCHEMAS[self.source.schema].feature_count
+    def feature_schema(self) -> FeatureSchema | None:
+        """The schema of the source's rows, or None for the fixtures. Both the
+        parse-time top_k check and the load take it from here."""
+        if self.kind == "synthetic_sensor":
+            return SENSOR_SCHEMA
+        if self.schema is not None:
+            return _SCHEMAS[self.schema]
+        if self.features is not None:
+            return FeatureSchema(self.features, self.label_column)
         return None
 
 
-def _parse_family_map(raw: Any, what: str) -> tuple[tuple[ModelFamily, dict], ...]:
+FamilyOverrides = tuple[tuple[ModelFamily, dict], ...]
+
+
+def _family_overrides(raw: Any, what: str) -> FamilyOverrides:
     if isinstance(raw, (list, tuple)):
+        if not all(isinstance(name, str) for name in raw):
+            raise ConfigError(f"{what} must list family names, got {raw!r}")
         raw = {name: {} for name in raw}
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be a list of names or a name->overrides map")
@@ -195,167 +171,164 @@ def _parse_family_map(raw: Any, what: str) -> tuple[tuple[ModelFamily, dict], ..
     return tuple(out)
 
 
-def _parse_source(raw: Any) -> SourceSpec:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError("source must be a map with a 'kind'")
-    kind = raw["kind"]
-    known = {
-        "csv": {"kind", "path", "schema", "features", "label_column"},
-        "synthetic_sensor": {"kind", "n_rows", "anomaly_fraction", "violable_features"},
-        "fixtures": {"kind"},
+def _explainer_overrides(raw: Any, what: str) -> dict:
+    return _entries(ExplainerConfig, raw, "explainer")
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """A validated run config. `models`, `independent_classifiers` and
+    `explainers` keep what the config wrote, as the hash covers only that;
+    `explainer` and `sampler` are resolved from the fields."""
+
+    seed: int
+    source: SourceSpec
+    mode: str = "binary"
+    models: FamilyOverrides = field(
+        default=tuple((f, {}) for f in RANKED_FAMILIES),
+        metadata={"parse": _family_overrides},
+    )
+    independent_classifiers: FamilyOverrides = field(
+        default=tuple((f, {}) for f in EVALUATION_FAMILIES),
+        metadata={"parse": _family_overrides},
+    )
+    explainers: dict = field(
+        default_factory=dict, metadata={"parse": _explainer_overrides}
+    )
+    fusion: FusionSpec = field(default_factory=FusionSpec)
+    train_fraction: float = SamplerConfig.train_fraction
+    undersample: bool = True
+    out_dir: str = "xaifuse-out"
+    explainer: ExplainerConfig = field(init=False)
+    sampler: SamplerConfig = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("binary", "multiclass"):
+            raise ConfigError(f"mode must be binary or multiclass, got {self.mode!r}")
+        explainer = _built(ExplainerConfig, "explainer", self.explainers)
+        object.__setattr__(self, "explainer", explainer)
+        sampler = _built(
+            SamplerConfig,
+            "sampler",
+            {"seed": self.seed, "train_fraction": self.train_fraction},
+        )
+        object.__setattr__(self, "sampler", sampler)
+        if self.source.kind != "fixtures":
+            if not self.models:
+                raise ConfigError("at least one model must be enabled")
+            if not explainer.methods:
+                raise ConfigError("explainer methods must not be empty")
+        schema = self.source.feature_schema()
+        if schema is not None and self.fusion.top_k > schema.feature_count:
+            raise ConfigError(
+                f"fusion top_k={self.fusion.top_k} exceeds the "
+                f"{schema.feature_count} available features"
+            )
+
+    @property
+    def explain_methods(self) -> tuple[str, ...]:
+        return self.explainer.methods
+
+    def config_hash(self) -> str:
+        """sha256 of the canonical JSON of every key but out_dir, which never
+        changes what a run computes. Model hyperparameters and explainer
+        settings enter as written, every other key as resolved."""
+        doc = _resolved(self)
+        del doc["out_dir"]
+        doc["models"] = {f.value: o for f, o in self.models}
+        doc["independent_classifiers"] = {
+            f.value: o for f, o in self.independent_classifiers
+        }
+        doc["explainers"] = {
+            "methods": self.explainer.methods,
+            "max_explained_instances": self.explainer.max_explained_instances,
+            **self.explainers,
+        }
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _keys(cls, kind: Any) -> dict[str, Any]:
+    """The init fields of the dataclass `cls` that a section of this kind
+    takes, by name."""
+    return {
+        f.name: f
+        for f in fields(cls)
+        if f.init and f.metadata.get("kind", kind) == kind
     }
-    if kind not in known:
-        raise ConfigError(f"unknown source kind: {kind!r}")
-    extra = set(raw) - known[kind]
-    if extra:
-        raise ConfigError(f"unknown source fields for {kind}: {sorted(extra)}")
-    if kind == "csv":
-        if not raw.get("path"):
-            raise ConfigError("csv source needs a path")
-        schema = raw.get("schema")
-        features = raw.get("features")
-        if schema is not None and schema not in _SCHEMAS:
-            raise ConfigError(f"unknown schema name: {schema!r}")
-        if features is not None:
-            if not isinstance(features, (list, tuple)) or not features:
-                raise ConfigError("features must be a non-empty list")
-            if not raw.get("label_column"):
-                raise ConfigError("explicit features need a label_column")
-        if schema is None and features is None:
-            raise ConfigError("csv source needs either a schema name or features")
-        return SourceSpec(
-            kind="csv",
-            path=str(raw["path"]),
-            schema=schema,
-            features=tuple(features) if features is not None else None,
-            label_column=raw.get("label_column"),
-        )
-    if kind == "synthetic_sensor":
-        n_rows = raw.get("n_rows", 10_000)
-        fraction = raw.get("anomaly_fraction", 0.5)
-        if not isinstance(n_rows, int) or isinstance(n_rows, bool) or n_rows < 2:
-            raise ConfigError("n_rows must be an integer >= 2")
-        if not isinstance(fraction, (int, float)) or not 0.0 < float(fraction) < 1.0:
-            raise ConfigError("anomaly_fraction must lie strictly between 0 and 1")
-        violable = raw.get("violable_features")
-        return SourceSpec(
-            kind="synthetic_sensor",
-            n_rows=n_rows,
-            anomaly_fraction=float(fraction),
-            violable_features=tuple(violable) if violable is not None else None,
-        )
-    return SourceSpec(kind="fixtures")
 
 
-_TOP_LEVEL_KEYS = {
-    "seed",
-    "source",
-    "mode",
-    "models",
-    "independent_classifiers",
-    "explainers",
-    "fusion",
-    "train_fraction",
-    "undersample",
-    "out_dir",
-}
-
-_EXPLAINER_KEYS = {
-    "methods",
-    "max_explained_instances",
-    "background_size",
-    "lime_samples_per_instance",
-    "lime_kernel_width",
-    "lime_instances",
-    "lime_ridge",
-    "permutation_rounds",
-    "shap_exact_cap",
-}
+def _resolved(section) -> dict:
+    """A section's keys with their values, nested sections likewise; keys
+    whose value is None are left out."""
+    out = {}
+    for name in _keys(type(section), getattr(section, "kind", None)):
+        value = getattr(section, name)
+        if value is not None:
+            out[name] = _resolved(value) if is_dataclass(value) else value
+    return out
 
 
-def parse_config(raw: Mapping) -> PipelineConfig:
+def _built(cls, where: str, values: Mapping):
+    """cls(**values), a failed range check raised as a ConfigError."""
+    try:
+        return cls(**values)
+    except (DataError, ExplainError, FusionError) as exc:
+        raise ConfigError(f"bad {where} settings: {exc}") from None
+
+
+def _entries(cls, raw: Any, where: str) -> dict:
+    """The entries of the config section `raw`, checked against the
+    dataclass `cls`: `raw` is a map, each key names a field that sections of
+    its kind take, and each value has the type that `_typed` reads off the
+    field's annotation, unless the field's metadata names a parser."""
     if not isinstance(raw, Mapping):
-        raise ConfigError("config must be a JSON object")
-    extra = set(raw) - _TOP_LEVEL_KEYS
+        raise ConfigError(f"{where} must be a map, got {raw!r}")
+    keys = _keys(cls, raw.get("kind"))
+    extra = set(raw) - set(keys)
     if extra:
-        raise ConfigError(f"unknown config fields: {sorted(extra)}")
+        raise ConfigError(f"unknown {where} fields: {sorted(extra)}")
+    for name, f in keys.items():
+        if name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} lacks the required key {name!r}")
+    hints = get_type_hints(cls)
+    out = {}
+    for name, value in raw.items():
+        parse = keys[name].metadata.get("parse")
+        out[name] = parse(value, name) if parse else _typed(value, hints[name], name)
+    return out
 
-    seed = raw.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed is required and must be an integer")
 
-    source = _parse_source(raw.get("source"))
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
-    mode = raw.get("mode", "binary")
-    if mode not in ("binary", "multiclass"):
-        raise ConfigError(f"mode must be binary or multiclass, got {mode!r}")
 
-    models = _parse_family_map(
-        raw.get("models", [f.value for f in RANKED_FAMILIES]), "models"
-    )
-    if not models and source.kind != "fixtures":
-        raise ConfigError("at least one model must be enabled")
+def _typed(value: Any, hint: Any, name: str) -> Any:
+    """`value` if it has the JSON type that the annotation `hint` names: an
+    integer is never a boolean, a number may be written as an integer, a
+    tuple is written as a list and a dataclass as a section."""
+    if is_dataclass(hint):
+        return _built(hint, name, _entries(hint, value, name))
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        args = get_args(hint)
+    if get_origin(hint) is tuple:  # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_typed(v, args[0], f"{name} entry") for v in value)
+    accepted = (int, float) if hint is float else hint
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{name} must be {_JSON_TYPES[hint]}, got {value!r}")
+    return value
 
-    classifiers = _parse_family_map(
-        raw.get("independent_classifiers", [f.value for f in EVALUATION_FAMILIES]),
-        "independent_classifiers",
-    )
 
-    exp_raw = dict(raw.get("explainers", {}))
-    extra = set(exp_raw) - _EXPLAINER_KEYS
-    if extra:
-        raise ConfigError(f"unknown explainer fields: {sorted(extra)}")
-    methods = tuple(exp_raw.pop("methods", XAI_METHOD_NAMES))
-    bad = [m for m in methods if m not in XAI_METHOD_NAMES]
-    if bad or (not methods and source.kind != "fixtures"):
-        raise ConfigError(
-            f"explainer methods must be a non-empty subset of {XAI_METHOD_NAMES}"
-        )
-    max_explained = exp_raw.pop("max_explained_instances", 2000)
-    if not isinstance(max_explained, int) or max_explained < 1:
-        raise ConfigError("max_explained_instances must be a positive integer")
-    try:
-        ExplainerConfig(seed=0, **exp_raw)
-    except (TypeError, ExplainError) as exc:
-        raise ConfigError(f"bad explainer settings: {exc}") from None
-
-    fus_raw = raw.get("fusion", {})
-    try:
-        fusion = FusionSpec(
-            points=tuple(fus_raw.get("points", (3, 2, 1))),
-            mode=fus_raw.get("mode", "weighted_points"),
-            top_k=fus_raw.get("top_k", 4),
-        )
-    except FusionError as exc:
-        raise ConfigError(f"bad fusion settings: {exc}") from None
-
-    train_fraction = raw.get("train_fraction", 0.7)
-    try:
-        SamplerConfig(seed=0, train_fraction=train_fraction)
-    except DataError as exc:
-        raise ConfigError(str(exc)) from None
-
-    cfg = PipelineConfig(
-        seed=seed,
-        source=source,
-        mode=mode,
-        models=models,
-        classifiers=classifiers,
-        explain_methods=methods,
-        explainer=exp_raw,
-        max_explained_instances=max_explained,
-        fusion=fusion,
-        train_fraction=float(train_fraction),
-        undersample=bool(raw.get("undersample", True)),
-        out_dir=str(raw.get("out_dir", "xaifuse-out")),
-    )
-
-    p = cfg.known_feature_count()
-    if p is not None and cfg.fusion.top_k > p:
-        raise ConfigError(
-            f"fusion top_k={cfg.fusion.top_k} exceeds the {p} available features"
-        )
-    return cfg
+def parse_config(raw: Any) -> PipelineConfig:
+    """The run config that the JSON value `raw` describes, read by one walk
+    over PipelineConfig and the section dataclasses it holds. Anything the
+    schema does not take raises ConfigError."""
+    return _typed(raw, PipelineConfig, "config")
 
 
 # -- manifest -----------------------------------------------------------------
@@ -436,11 +409,7 @@ def _load_source(cfg: PipelineConfig) -> Dataset:
             seed=cfg.seed,
             violable_features=src.violable_features,
         )
-    if src.schema is not None:
-        schema = _SCHEMAS[src.schema]
-    else:
-        schema = FeatureSchema(tuple(src.features), src.label_column)
-    return load_csv(src.path, schema)
+    return load_csv(src.path, src.feature_schema())
 
 
 def _train_all(cfg: PipelineConfig, train: Dataset) -> dict[str, Any]:
@@ -459,11 +428,10 @@ def _explanation_rows(
     cfg: PipelineConfig, train: Dataset
 ) -> tuple[np.ndarray, np.ndarray]:
     n = train.n_rows
-    if n <= cfg.max_explained_instances:
+    size = cfg.explainer.max_explained_instances
+    if n <= size:
         return train.rows, train.labels
-    idx = rng_for(cfg.seed, "explain-rows").choice(
-        n, size=cfg.max_explained_instances, replace=False
-    )
+    idx = rng_for(cfg.seed, "explain-rows").choice(n, size=size, replace=False)
     idx = np.sort(idx)
     return train.rows[idx], train.labels[idx]
 
@@ -477,10 +445,10 @@ def _explain_all(
 ) -> tuple[dict[str, list[ImportanceVector]], list[ExplainCost]]:
     by_method: dict[str, list[ImportanceVector]] = {m: [] for m in cfg.explain_methods}
     costs: list[ExplainCost] = []
-    probe = cfg.explainer_config(seed=0)
+    settings = cfg.explainer
     background = train_sd = None
     if "shap" in by_method:
-        background = select_background(train.rows, probe.background_size, cfg.seed)
+        background = select_background(train.rows, settings.background_size, cfg.seed)
     if "lime" in by_method:
         train_sd = train.rows.std(axis=0)
 
@@ -498,19 +466,19 @@ def _explain_all(
                 "shap",
                 lambda: shap_global(
                     shap_values(
-                        model, rows, background, exact_cap=probe.shap_exact_cap
+                        model, rows, background, exact_cap=settings.shap_exact_cap
                     ),
                     model_tag=tag,
                 ),
             )
         if "lime" in by_method:
-            lime_cfg = cfg.explainer_config(
-                seed=derive_seed(cfg.seed, "explain", "lime", tag)
-            )
+            lime_seed = derive_seed(cfg.seed, "explain", "lime", tag)
             timed(
                 tag,
                 "lime",
-                lambda: lime_global(model, rows, train_sd, lime_cfg, model_tag=tag),
+                lambda: lime_global(
+                    model, rows, train_sd, settings, lime_seed, model_tag=tag
+                ),
             )
         if "permutation" in by_method:
             timed(
@@ -520,7 +488,7 @@ def _explain_all(
                     model,
                     rows,
                     labels,
-                    rounds=probe.permutation_rounds,
+                    rounds=settings.permutation_rounds,
                     seed=derive_seed(cfg.seed, "explain", "permutation", tag),
                     model_tag=tag,
                 ),
@@ -533,7 +501,7 @@ def _rank_tables(
 ) -> dict[str, RankTable]:
     tables = {}
     for method, vectors in by_method.items():
-        ranks = np.column_stack([to_ranks(v) for v in vectors])
+        ranks = np.column_stack([to_ranks(v.scores) for v in vectors])
         tables[method] = RankTable(
             feature_names=schema.feature_names,
             sources=tuple(v.model for v in vectors),
@@ -549,7 +517,7 @@ def _evaluate_sets(
     feature_sets: dict[str, list[str]],
 ) -> dict[str, dict[str, dict]]:
     results: dict[str, dict[str, dict]] = {}
-    for family, overrides in cfg.classifiers:
+    for family, overrides in cfg.independent_classifiers:
         per_set = {}
         for set_name, features in feature_sets.items():
             report = evaluate_feature_subset(
@@ -702,11 +670,7 @@ def run_fixture_conformance(out_dir: str | Path, spec: FusionSpec | None = None)
         computed = {}
         for dataset in DATASETS:
             tables = load_rank_fixtures(dataset)
-            ds_spec = FusionSpec(
-                points=(spec or FusionSpec()).points,
-                mode=(spec or FusionSpec()).mode,
-                top_k=REFERENCE_TOP_K[dataset],
-            )
+            ds_spec = replace(spec or FusionSpec(), top_k=REFERENCE_TOP_K[dataset])
             computed[dataset] = two_level_fuse(tables, ds_spec)
         return computed
 
@@ -742,20 +706,13 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
 
     clock = _StageClock()
     dataset = clock.run("load", lambda: _load_source(cfg))
-    if cfg.fusion.top_k > dataset.schema.feature_count:
-        raise ConfigError(
-            f"fusion top_k={cfg.fusion.top_k} exceeds the "
-            f"{dataset.schema.feature_count} available features"
-        )
     dataset = clock.run("clean", lambda: clean(dataset))
     dataset = clock.run("map_labels", lambda: map_labels(dataset, cfg.mode))
     if cfg.undersample:
         dataset = clock.run("undersample", lambda: undersample(dataset, cfg.seed))
     train, test, _scaler = clock.run(
         "split",
-        lambda: split_and_scale(
-            dataset, SamplerConfig(seed=cfg.seed, train_fraction=cfg.train_fraction)
-        ),
+        lambda: split_and_scale(dataset, cfg.sampler),
     )
 
     models = clock.run("train", lambda: _train_all(cfg, train))

@@ -29,10 +29,16 @@ from xaifuse.explainers import (
     select_background,
     shap_global,
     shap_values,
-    to_ranks,
 )
 from xaifuse.fixtures import load_rank_fixture, load_rank_fixtures, load_reference_metrics
-from xaifuse.fusion import FusionSpec, RankTable, fuse_ranks, top_k, two_level_fuse
+from xaifuse.fusion import (
+    FusionSpec,
+    RankTable,
+    fuse_ranks,
+    to_ranks,
+    top_k,
+    two_level_fuse,
+)
 from xaifuse.models import train_model
 from xaifuse.pipeline import parse_config, run_pipeline
 from xaifuse.seeding import derive_seed
@@ -280,11 +286,8 @@ def test_c4_planted_signal_explainers(capsys):
                 model,
                 rows,
                 train.rows.std(axis=0),
-                ExplainerConfig(
-                    seed=derive_seed(1234, "lime"),
-                    lime_samples_per_instance=500,
-                    lime_instances=40,
-                ),
+                ExplainerConfig(lime_samples_per_instance=500, lime_instances=40),
+                derive_seed(1234, "lime"),
             ),
             "permutation": permutation_importance(
                 model, rows, labels, rounds=5, seed=derive_seed(1234, "perm")

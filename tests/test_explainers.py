@@ -17,9 +17,9 @@ from xaifuse.explainers import (
     select_background,
     shap_global,
     shap_values,
-    to_ranks,
     write_importance_csv,
 )
+from xaifuse.fusion import to_ranks
 from xaifuse.models import AdaBoost, DecisionTree, KnnClassifier, RandomForest
 
 
@@ -411,17 +411,16 @@ class TestShapGlobal:
 
 
 class TestLime:
-    def cfg(self, seed=0, **kw):
-        return ExplainerConfig(seed=seed, **kw)
-
     def test_constant_model_zero_coefficients(self):
         model = FnModel(lambda z: np.full(len(z), 0.5))
-        coef = lime_explain_instance(model, np.zeros(3), np.ones(3), self.cfg())
+        coef = lime_explain_instance(model, np.zeros(3), np.ones(3), ExplainerConfig(), 0)
         assert np.abs(coef).max() < 1e-6
 
     def test_dominant_feature_has_largest_coefficient(self):
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-3.0 * z[:, 0])))
-        coef = lime_explain_instance(model, np.zeros(4), np.ones(4), self.cfg(seed=5))
+        coef = lime_explain_instance(
+            model, np.zeros(4), np.ones(4), ExplainerConfig(), 5
+        )
         assert np.abs(coef[0]) > np.abs(coef[1:]).max()
 
     def test_ignored_feature_has_negligible_coefficient(self):
@@ -430,16 +429,21 @@ class TestLime:
         # limited by arithmetic noise alone
         model = FnModel(lambda z: 0.5 + 0.1 * z[:, 0] - 0.2 * z[:, 2])
         coef = lime_explain_instance(
-            model, np.zeros(3), np.ones(3), self.cfg(seed=7, lime_samples_per_instance=4000)
+            model,
+            np.zeros(3),
+            np.ones(3),
+            ExplainerConfig(lime_samples_per_instance=4000),
+            7,
         )
         assert np.abs(coef[1]) < 1e-3 * np.abs(coef).max()
 
     def test_deterministic_per_seed_and_index(self):
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-z[:, 0])))
         sd = np.ones(2)
-        a = lime_explain_instance(model, np.zeros(2), sd, self.cfg(seed=1), 3)
-        b = lime_explain_instance(model, np.zeros(2), sd, self.cfg(seed=1), 3)
-        c = lime_explain_instance(model, np.zeros(2), sd, self.cfg(seed=1), 4)
+        cfg = ExplainerConfig()
+        a = lime_explain_instance(model, np.zeros(2), sd, cfg, 1, 3)
+        b = lime_explain_instance(model, np.zeros(2), sd, cfg, 1, 3)
+        c = lime_explain_instance(model, np.zeros(2), sd, cfg, 1, 4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -447,12 +451,12 @@ class TestLime:
         rng = np.random.default_rng(11)
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-(z[:, 0] + 0.5 * z[:, 1]))))
         rows = rng.normal(size=(6, 2))
-        cfg = self.cfg(seed=2, lime_instances=6, lime_samples_per_instance=500)
+        cfg = ExplainerConfig(lime_instances=6, lime_samples_per_instance=500)
         sd = np.array([1.0, 2.0])
-        iv = lime_global(model, rows, sd, cfg, model_tag="stub")
+        iv = lime_global(model, rows, sd, cfg, 2, model_tag="stub")
         acc = np.zeros(2)
         for i in range(6):
-            acc += np.abs(lime_explain_instance(model, rows[i], sd, cfg, i))
+            acc += np.abs(lime_explain_instance(model, rows[i], sd, cfg, 2, i))
         np.testing.assert_allclose(iv.scores, acc / 6)
 
     def test_global_ordering_matches_linear_weights(self):
@@ -464,20 +468,21 @@ class TestLime:
             model,
             rows,
             np.ones(3),
-            self.cfg(seed=3, lime_instances=15, lime_samples_per_instance=800),
+            ExplainerConfig(lime_instances=15, lime_samples_per_instance=800),
+            3,
         )
         np.testing.assert_array_equal(
-            to_ranks(iv), to_ranks(np.abs(weights))
+            to_ranks(iv.scores), to_ranks(np.abs(weights))
         )
 
     def test_global_uses_first_n_rows(self):
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-z[:, 0])))
         rng = np.random.default_rng(17)
         rows = rng.normal(size=(30, 2))
-        cfg = self.cfg(seed=4, lime_instances=5, lime_samples_per_instance=300)
+        cfg = ExplainerConfig(lime_instances=5, lime_samples_per_instance=300)
         sd = np.ones(2)
-        a = lime_global(model, rows, sd, cfg)
-        b = lime_global(model, rows[:5], sd, cfg)
+        a = lime_global(model, rows, sd, cfg, 4)
+        b = lime_global(model, rows[:5], sd, cfg, 4)
         # the perturbation scale is passed in, so rows past the first
         # lime_instances cannot change the result
         np.testing.assert_array_equal(a.scores, b.scores)
@@ -485,7 +490,7 @@ class TestLime:
     def test_constant_feature_gets_zero_coefficient(self):
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-z[:, 0])))
         coef = lime_explain_instance(
-            model, np.zeros(2), np.array([1.0, 0.0]), self.cfg(seed=9)
+            model, np.zeros(2), np.array([1.0, 0.0]), ExplainerConfig(), 9
         )
         assert coef[1] == 0.0
 
@@ -494,8 +499,8 @@ class TestLime:
         # perturbing with the training sd lets the surrogate see its effect
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-(z[:, 0] + z[:, 1]))))
         rows = np.column_stack([np.linspace(-1.0, 1.0, 8), np.zeros(8)])
-        cfg = self.cfg(seed=10, lime_instances=8, lime_samples_per_instance=500)
-        iv = lime_global(model, rows, np.ones(2), cfg)
+        cfg = ExplainerConfig(lime_instances=8, lime_samples_per_instance=500)
+        iv = lime_global(model, rows, np.ones(2), cfg, 10)
         assert iv.scores[1] > 0.5 * iv.scores[0] > 0.0
 
 
@@ -517,8 +522,8 @@ class TestModelRows:
         y = rng.integers(0, n_classes, 60)
         model = DecisionTree(max_depth=3).fit(X, y)
         seen = self.counted(model)
-        cfg = ExplainerConfig(seed=1, lime_instances=5, lime_samples_per_instance=40)
-        iv = lime_global(model, X[:8], X.std(axis=0), cfg)
+        cfg = ExplainerConfig(lime_instances=5, lime_samples_per_instance=40)
+        iv = lime_global(model, X[:8], X.std(axis=0), cfg, 1)
         assert iv.model_rows == sum(seen) == 5 * (40 + (n_classes > 2))
         seen.clear()
         iv = permutation_importance(model, X[:8], y[:8], rounds=2, seed=1)
@@ -602,16 +607,16 @@ class TestToRanks:
 class TestConfigAndHelpers:
     def test_config_validation(self):
         with pytest.raises(ExplainError):
-            ExplainerConfig(seed=0, background_size=0)
+            ExplainerConfig(background_size=0)
         with pytest.raises(ExplainError):
-            ExplainerConfig(seed=0, lime_kernel_width=-1.0)
+            ExplainerConfig(lime_kernel_width=-1.0)
         with pytest.raises(ExplainError):
-            ExplainerConfig(seed=0, lime_ridge=0.0)
+            ExplainerConfig(lime_ridge=0.0)
 
     def test_default_kernel_width_scales_with_p(self):
-        cfg = ExplainerConfig(seed=0)
+        cfg = ExplainerConfig()
         assert cfg.kernel_width(4) == pytest.approx(1.5)
-        assert ExplainerConfig(seed=0, lime_kernel_width=2.0).kernel_width(4) == 2.0
+        assert ExplainerConfig(lime_kernel_width=2.0).kernel_width(4) == 2.0
 
     def test_select_background(self):
         rows = np.arange(20, dtype=float).reshape(10, 2)

@@ -22,6 +22,7 @@ from xaifuse.fusion import (
     RankTable,
     fuse_ranks,
     read_rank_table,
+    to_ranks,
     top_k,
     two_level_fuse,
     write_fused,
@@ -98,7 +99,7 @@ class TestRankTable:
     def test_basic_construction(self):
         t = RankTable(("a", "b"), ("m1",), np.array([[1], [2]]))
         assert t.feature_count == 2
-        assert t.column_is_permutation("m1")
+        assert sorted(t.ranks[:, 0]) == [1, 2]
 
     def test_float_ranks_that_round_exactly_are_accepted(self):
         t = RankTable(("a", "b"), ("m",), np.array([[1.0], [2.0]]))
@@ -119,7 +120,7 @@ class TestRankTable:
     def test_duplicate_ranks_in_column_allowed(self):
         # ordinal but not a permutation; such columns occur in the shipped tables
         t = RankTable(("a", "b", "c"), ("m",), np.array([[1], [1], [2]]))
-        assert not t.column_is_permutation("m")
+        assert sorted(t.ranks[:, 0]) == [1, 1, 2]
 
     def test_duplicate_feature_names_rejected(self):
         with pytest.raises(FusionError, match="unique"):
@@ -208,7 +209,7 @@ class TestFuseRanks:
         assert fused.scores[0] == fused.scores[1] == 14.0
         names = [t.feature_names[i] for i in fused.ordering]
         assert names[:3] == ["pos_x", "pos_y", "spd_x"]
-        assert (0, 1) in [g[:2] for g in fused.tie_groups]
+        assert fused.ordering[:2] == (0, 1)
 
     def test_mean_rank_mode(self):
         t = RankTable(
@@ -311,7 +312,7 @@ class TestFusionProperties:
             t = random_table(rng)
             fused = fuse_ranks(t, FusionSpec(top_k=1))
             assert sorted(fused.ordering) == list(range(len(t.feature_names)))
-            ranks = fused.induced_ranks()
+            ranks = to_ranks(fused.scores)
             for pos, f in enumerate(fused.ordering):
                 assert ranks[f] == pos + 1
 
@@ -459,15 +460,15 @@ class TestFixtures:
         # variable-importance table, which share ranks as shipped
         for name in RANK_TABLE_NAMES:
             t = load_rank_fixture(name)
-            for src in t.sources:
-                if name == "veremi_multiclass_dalex" and src in (
+            every_rank = list(range(1, t.feature_count + 1))
+            for j, src in enumerate(t.sources):
+                is_permutation = sorted(t.ranks[:, j]) == every_rank
+                shared = name == "veremi_multiclass_dalex" and src in (
                     "KNN",
                     "SVM",
                     "AdaBoost",
-                ):
-                    assert not t.column_is_permutation(src)
-                else:
-                    assert t.column_is_permutation(src), (name, src)
+                )
+                assert is_permutation != shared, (name, src)
 
     def test_reference_top_features_shape(self):
         ref = load_reference_top_features()

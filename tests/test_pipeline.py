@@ -1,6 +1,8 @@
 """Config validation, orchestration determinism, artifacts, CLI exit codes."""
 
 import json
+import re
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,12 @@ import pytest
 
 from xaifuse.cli import main
 from xaifuse.data import SENSOR_SCHEMA, load_csv
+from xaifuse.explainers import ExplainerConfig
+from xaifuse.fusion import FusionSpec
 from xaifuse.pipeline import (
     ConfigError,
     PipelineConfig,
+    SourceSpec,
     parse_config,
     render_summary_from_artifacts,
     run_fixture_conformance,
@@ -42,10 +47,10 @@ class TestParseConfig:
         cfg = parse_config({"seed": 1, "source": {"kind": "synthetic_sensor"}})
         assert cfg.seed == 1
         assert len(cfg.models) == 6
-        assert len(cfg.classifiers) == 3
+        assert len(cfg.independent_classifiers) == 3
         assert cfg.explain_methods == ("shap", "lime", "permutation")
         assert cfg.fusion.top_k == 4
-        assert cfg.max_explained_instances == 2000
+        assert cfg.explainer.max_explained_instances == 2000
 
     def test_seed_required(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -175,6 +180,138 @@ class TestParseConfig:
         h3 = parse_config({**base, "seed": 2, "out_dir": "a"}).config_hash()
         assert h1 == h2
         assert h1 != h3
+
+    def test_hashes_are_pinned(self):
+        # a refactor of the config code must not rename an experiment
+        minimal = {"seed": 1, "source": {"kind": "synthetic_sensor"}}
+        readme_example = {
+            "seed": 42,
+            "source": {"kind": "synthetic_sensor", "n_rows": 10000, "anomaly_fraction": 0.5},
+            "models": {"random_forest": {"n_estimators": 50}, "knn": {}},
+            "independent_classifiers": [
+                "gbdt_catboost_like",
+                "gbdt_lgbm_like",
+                "logistic_regression",
+            ],
+            "explainers": {"methods": ["shap", "lime", "permutation"], "background_size": 100},
+            "fusion": {"points": [3, 2, 1], "top_k": 4},
+            "out_dir": "run-out",
+        }
+        assert parse_config(minimal).config_hash() == (
+            "581875ede977945794096ea3371f3004c5316536cc04d8ab487129bd66aa72b6"
+        )
+        assert parse_config(readme_example).config_hash() == (
+            "a245cb1d074f00106e550b8a14e3f497992d4148bd95fe617328eee8bb324aea"
+        )
+
+    def test_resolved_defaults(self):
+        cfg = parse_config({"seed": 0, "source": {"kind": "synthetic_sensor"}})
+        assert asdict(cfg) == {
+            "seed": 0,
+            "source": {
+                "kind": "synthetic_sensor",
+                "path": None,
+                "schema": None,
+                "features": None,
+                "label_column": None,
+                "n_rows": 10_000,
+                "anomaly_fraction": 0.5,
+                "violable_features": None,
+            },
+            "mode": "binary",
+            "models": (
+                ("decision_tree", {}),
+                ("random_forest", {}),
+                ("mlp", {}),
+                ("knn", {}),
+                ("svm_rbf", {}),
+                ("adaboost", {}),
+            ),
+            "independent_classifiers": (
+                ("gbdt_catboost_like", {}),
+                ("gbdt_lgbm_like", {}),
+                ("logistic_regression", {}),
+            ),
+            "explainers": {},
+            "fusion": {"points": (3.0, 2.0, 1.0), "mode": "weighted_points", "top_k": 4},
+            "train_fraction": 0.7,
+            "undersample": True,
+            "out_dir": "xaifuse-out",
+            "explainer": {
+                "methods": ("shap", "lime", "permutation"),
+                "max_explained_instances": 2000,
+                "background_size": 100,
+                "lime_samples_per_instance": 1000,
+                "lime_kernel_width": None,
+                "lime_instances": 2000,
+                "lime_ridge": 1e-3,
+                "permutation_rounds": 10,
+                "shap_exact_cap": 16,
+            },
+            "sampler": {"seed": 0, "train_fraction": 0.7},
+        }
+
+    def test_readme_config_reference_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        reference = readme.split("## Config reference\n")[1].split("\n## ")[0]
+        documented = set(re.findall(r"^\| `([\w.]+)` \|", reference, re.M))
+        accepted = {f.name for f in fields(PipelineConfig) if f.init}
+        for section, cls in (
+            ("source", SourceSpec),
+            ("explainers", ExplainerConfig),
+            ("fusion", FusionSpec),
+        ):
+            accepted |= {f"{section}.{f.name}" for f in fields(cls)}
+        assert documented == accepted
+
+
+# (path to the key, value): each is refused before anything is written
+MALFORMED = {
+    "fusion not a map": (("fusion",), []),
+    "explainers a string": (("explainers",), "foo"),
+    "explainers a list": (("explainers",), ["shap"]),
+    "top_k a string": (("fusion", "top_k"), "4"),
+    "points with a string": (("fusion", "points"), [3, "a"]),
+    "train_fraction a string": (("train_fraction",), "0.5"),
+    "unknown fusion key": (("fusion", "topk"), 3),
+    "undersample a string": (("undersample",), "no"),
+    "top_k a float": (("fusion", "top_k"), 2.5),
+    "top_k a bool": (("fusion", "top_k"), True),
+    "max_explained_instances a bool": (
+        ("explainers", "max_explained_instances"),
+        True,
+    ),
+    "permutation_rounds a bool": (("explainers", "permutation_rounds"), True),
+    "violable_features a string": (("source", "violable_features"), "Speed"),
+    "repeated method": (("explainers", "methods"), ["shap", "shap"]),
+    "model name a list": (("models",), [["knn"]]),
+    "schema and features": (
+        ("source",),
+        {
+            "kind": "csv",
+            "path": "input.csv",
+            "schema": "sensor",
+            "features": ["Formality", "Location", "Frequency", "Speed"],
+            "label_column": "label",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("where, value", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_config_exits_2_before_writing(tmp_path, capsys, where, value):
+    cfg = tiny_config(tmp_path / "out")
+    section = cfg
+    for key in where[:-1]:
+        section = section[key]
+    section[where[-1]] = value
+    with pytest.raises(ConfigError):
+        parse_config(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 EXPECTED_RUN_FILES = {
@@ -375,6 +512,14 @@ class TestCli:
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 2
 
+    def test_overrides_on_a_non_object_config_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert main(["run", "--config", str(cfg_path), "--seed", "3"]) == 2
+        assert main(["run", "--config", str(cfg_path), "--out", "o"]) == 2
+        assert capsys.readouterr().err.count("config error") == 3
+
     def test_tree_criterion_override_exits_2(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path / "out", models={"decision_tree": {"criterion": "mse"}})
         cfg_path = tmp_path / "cfg.json"
@@ -449,6 +594,12 @@ class TestCli:
         bad.write_text("feature,DT\na,maybe\n")
         assert main(["fuse", str(bad), "--out", str(tmp_path)]) == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_fuse_ragged_table_exits_3(self, tmp_path, capsys):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("feature,m1,m2\nb,2\n")
+        assert main(["fuse", str(ragged), "--out", str(tmp_path)]) == 3
+        assert "line 2" in capsys.readouterr().err
 
     def test_conformance_exits_zero_and_prints_checks(self, tmp_path, capsys):
         assert main(["conformance", "--out", str(tmp_path)]) == 0
