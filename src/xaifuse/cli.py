@@ -18,6 +18,7 @@ import json
 import sys
 from pathlib import Path
 
+from .artifacts import write_text
 from .data import DataError, generate_sensor_dataset, save_csv
 from .evaluation import EvaluationError
 from .explainers import ExplainError
@@ -29,6 +30,7 @@ from .fusion import (
     top_k,
     two_level_fuse,
     write_fused,
+    write_fusion,
 )
 from .pipeline import (
     ConfigError,
@@ -99,13 +101,10 @@ def _cmd_fuse(args) -> int:
         print(f"{name}: {picks}")
         return 0
     per_method, leveled = two_level_fuse(tables, spec)
-    for name, fused in per_method.items():
-        write_fused(fused, out / f"fused_{name}.csv")
+    write_fusion(per_method, leveled, out, "fused_")
+    for name, fused in [*per_method.items(), ("leveled", leveled)]:
         picks = ", ".join(f.name for f in top_k(fused, spec.top_k))
         print(f"{name}: {picks}")
-    write_fused(leveled, out / "fused_leveled.csv")
-    picks = ", ".join(f.name for f in top_k(leveled, spec.top_k))
-    print(f"leveled: {picks}")
     return 0
 
 
@@ -119,7 +118,7 @@ def _cmd_conformance(args) -> int:
 
 def _cmd_report(args) -> int:
     summary = render_summary_from_artifacts(args.out)
-    (Path(args.out) / "summary.md").write_text(summary, encoding="utf-8")
+    write_text(Path(args.out) / "summary.md", summary)
     print(summary)
     return 0
 

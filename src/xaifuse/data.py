@@ -8,11 +8,12 @@ sentinel until `clean` removes affected rows.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_csv
 from .seeding import rng_for
 
 
@@ -200,13 +201,14 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset in the same format `load_csv` reads."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.schema.feature_names) + [dataset.schema.label_column])
-        for row, label in zip(dataset.rows, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    write_csv(
+        path,
+        [*dataset.schema.feature_names, dataset.schema.label_column],
+        (
+            [*row, label]
+            for row, label in zip(dataset.rows.tolist(), dataset.labels.tolist())
+        ),
+    )
 
 
 def clean(dataset: Dataset) -> Dataset:

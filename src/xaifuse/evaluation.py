@@ -3,7 +3,7 @@ harness that compares fused rankings against the shipped reference tables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -105,25 +105,11 @@ class MetricsReport:
     positive_class: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "convention": self.convention,
-            "positive_class": self.positive_class,
-            "per_class": {
-                str(label): {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                    "precision_defined": m.precision_defined,
-                    "recall_defined": m.recall_defined,
-                }
-                for label, m in self.per_class.items()
-            },
-        }
+        """The report's fields, class labels written as text: canonical JSON
+        sorts int keys as numbers, so 16 would follow 8."""
+        doc = asdict(self)
+        doc["per_class"] = {str(label): m for label, m in doc["per_class"].items()}
+        return doc
 
 
 def classification_metrics(
@@ -248,16 +234,6 @@ class CellVerdict:
     verdict: str
     diff: str
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "method": self.method,
-            "computed": list(self.computed),
-            "reference": list(self.reference),
-            "verdict": self.verdict,
-            "diff": self.diff,
-        }
-
 
 @dataclass(frozen=True)
 class RequiredCheck:
@@ -265,43 +241,14 @@ class RequiredCheck:
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class ConformanceReport:
+    """conformance.json holds exactly these fields."""
+
     cells: tuple[CellVerdict, ...]
     required: tuple[RequiredCheck, ...]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "required": [r.to_dict() for r in self.required],
-            "cells": [c.to_dict() for c in self.cells],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ConformanceReport":
-        return cls(
-            cells=tuple(
-                CellVerdict(
-                    dataset=c["dataset"],
-                    method=c["method"],
-                    computed=tuple(c["computed"]),
-                    reference=tuple(c["reference"]),
-                    verdict=c["verdict"],
-                    diff=c["diff"],
-                )
-                for c in d["cells"]
-            ),
-            required=tuple(
-                RequiredCheck(name=r["name"], passed=r["passed"], detail=r["detail"])
-                for r in d["required"]
-            ),
-            passed=bool(d["passed"]),
-        )
 
 
 def _judge(computed: tuple[str, ...], reference: tuple[str, ...]) -> tuple[str, str]:
@@ -315,6 +262,30 @@ def _judge(computed: tuple[str, ...], reference: tuple[str, ...]) -> tuple[str, 
 
 def _top_names(fused: FusedRanking, k: int) -> tuple[str, ...]:
     return tuple(f.name for f in top_k(fused, k))
+
+
+def _set_matches(c: CellVerdict) -> tuple[bool, str]:
+    return c.verdict in (EXACT_ORDER_MATCH, SET_MATCH), c.diff or "set matches"
+
+
+def _order_matches(c: CellVerdict) -> tuple[bool, str]:
+    return c.verdict == EXACT_ORDER_MATCH, c.diff or "order matches"
+
+
+def _top3_order_matches(c: CellVerdict) -> tuple[bool, str]:
+    return (
+        c.computed[:3] == c.reference[:3],
+        f"computed top-3 {list(c.computed[:3])} vs reference {list(c.reference[:3])}",
+    )
+
+
+# the hard requirements, in report order: (name, dataset, method, rule)
+_REQUIRED_CHECKS = (
+    ("veremi_binary_leveled_top4_set", "veremi_binary", "leveled", _set_matches),
+    ("veremi_multiclass_leveled_top4_set", "veremi_multiclass", "leveled", _set_matches),
+    ("veremi_binary_lime_exact_order", "veremi_binary", "lime", _order_matches),
+    ("veremi_binary_dalex_top3_order", "veremi_binary", "dalex", _top3_order_matches),
+)
 
 
 def conformance_check(
@@ -351,46 +322,12 @@ def conformance_check(
             )
         )
 
-    def cell_for(dataset: str, method: str) -> CellVerdict | None:
-        for c in cells:
-            if c.dataset == dataset and c.method == method:
-                return c
-        return None
-
+    by_key = {(c.dataset, c.method): c for c in cells}
     required = []
-
-    def add_required(name: str, cell: CellVerdict | None, ok_when) -> None:
-        if cell is None:
-            required.append(
-                RequiredCheck(name=name, passed=False, detail="not computed")
-            )
-            return
-        passed, detail = ok_when(cell)
+    for name, dataset, method, rule in _REQUIRED_CHECKS:
+        cell = by_key.get((dataset, method))
+        passed, detail = rule(cell) if cell is not None else (False, "not computed")
         required.append(RequiredCheck(name=name, passed=passed, detail=detail))
-
-    add_required(
-        "veremi_binary_leveled_top4_set",
-        cell_for("veremi_binary", "leveled"),
-        lambda c: (c.verdict in (EXACT_ORDER_MATCH, SET_MATCH), c.diff or "set matches"),
-    )
-    add_required(
-        "veremi_multiclass_leveled_top4_set",
-        cell_for("veremi_multiclass", "leveled"),
-        lambda c: (c.verdict in (EXACT_ORDER_MATCH, SET_MATCH), c.diff or "set matches"),
-    )
-    add_required(
-        "veremi_binary_lime_exact_order",
-        cell_for("veremi_binary", "lime"),
-        lambda c: (c.verdict == EXACT_ORDER_MATCH, c.diff or "order matches"),
-    )
-    add_required(
-        "veremi_binary_dalex_top3_order",
-        cell_for("veremi_binary", "dalex"),
-        lambda c: (
-            c.computed[:3] == c.reference[:3],
-            f"computed top-3 {list(c.computed[:3])} vs reference {list(c.reference[:3])}",
-        ),
-    )
 
     return ConformanceReport(
         cells=tuple(cells),
@@ -402,21 +339,23 @@ def conformance_check(
 # -- Markdown rendering -------------------------------------------------------
 
 
-def conformance_markdown(report: ConformanceReport) -> str:
+def conformance_markdown(doc: Mapping) -> str:
+    """The conformance section, rendered from a conformance.json document."""
     lines = ["## Conformance", ""]
-    lines.append(f"Overall: {'PASS' if report.passed else 'FAIL'}")
+    lines.append(f"Overall: {'PASS' if doc['passed'] else 'FAIL'}")
     lines.append("")
     lines.append("| Required check | Passed | Detail |")
     lines.append("|---|---|---|")
-    for r in report.required:
-        lines.append(f"| {r.name} | {'yes' if r.passed else 'no'} | {r.detail} |")
+    for r in doc["required"]:
+        lines.append(f"| {r['name']} | {'yes' if r['passed'] else 'no'} | {r['detail']} |")
     lines.append("")
     lines.append("| Dataset | Method | Verdict | Computed | Reference |")
     lines.append("|---|---|---|---|---|")
-    for c in report.cells:
+    for c in doc["cells"]:
+        method = METHOD_LABELS.get(c["method"], c["method"])
         lines.append(
-            f"| {c.dataset} | {METHOD_LABELS.get(c.method, c.method)} | {c.verdict} |"
-            f" {', '.join(c.computed)} | {', '.join(c.reference)} |"
+            f"| {c['dataset']} | {method} | {c['verdict']} |"
+            f" {', '.join(c['computed'])} | {', '.join(c['reference'])} |"
         )
     return "\n".join(lines) + "\n"
 

@@ -21,13 +21,13 @@ in expectation, and both refuse more than `exact_cap` features:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_csv
 from .fusion import to_ranks
 from .models.forest import RandomForest
 from .models.tree import DecisionTree
@@ -518,14 +518,16 @@ def write_importance_csv(
     vectors: list[ImportanceVector],
 ) -> None:
     """One row per (vector, feature): feature, score, rank, method, model."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "score", "rank", "method", "model"])
-        for iv in vectors:
-            if len(iv.scores) != len(feature_names):
-                raise ExplainError("importance length does not match feature names")
-            ranks = to_ranks(iv.scores)
-            for name, score, rank in zip(feature_names, iv.scores, ranks):
-                writer.writerow([name, repr(float(score)), int(rank), iv.method, iv.model])
+    if any(len(iv.scores) != len(feature_names) for iv in vectors):
+        raise ExplainError("importance length does not match feature names")
+    write_csv(
+        path,
+        ["feature", "score", "rank", "method", "model"],
+        (
+            [name, score, rank, iv.method, iv.model]
+            for iv in vectors
+            for name, score, rank in zip(
+                feature_names, iv.scores.tolist(), to_ranks(iv.scores).tolist()
+            )
+        ),
+    )

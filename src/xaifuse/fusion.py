@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_csv
+
 
 class FusionError(Exception):
     """Raised for malformed rank tables or fusion settings."""
@@ -168,13 +170,11 @@ def top_k(fused: FusedRanking, k: int) -> list[TopFeature]:
 
 
 def write_rank_table(table: RankTable, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", *table.sources])
-        for i, name in enumerate(table.feature_names):
-            writer.writerow([name, *[int(r) for r in table.ranks[i]]])
+    write_csv(
+        path,
+        ["feature", *table.sources],
+        ([name, *ranks.tolist()] for name, ranks in zip(table.feature_names, table.ranks)),
+    )
 
 
 def read_rank_table(path: str | Path) -> RankTable:
@@ -212,18 +212,23 @@ def read_rank_table(path: str | Path) -> RankTable:
 
 def write_fused(fused: FusedRanking, path: str | Path) -> None:
     """feature, score, rank, flagged rows in rank order."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "score", "rank", "flagged"])
-        for pos, f in enumerate(fused.ordering):
-            score = float(fused.scores[f])
-            writer.writerow(
-                [
-                    fused.feature_names[f],
-                    repr(score),
-                    pos + 1,
-                    int(score == 0.0),
-                ]
-            )
+    write_csv(
+        path,
+        ["feature", "score", "rank", "flagged"],
+        (
+            [f.name, f.score, pos, int(f.padded)]
+            for pos, f in enumerate(top_k(fused, len(fused.feature_names)), 1)
+        ),
+    )
+
+
+def write_fusion(
+    per_method: dict[str, FusedRanking], leveled: FusedRanking, out: Path, prefix: str
+) -> list[str]:
+    """Write `<prefix><method>.csv` for each method, then
+    `<prefix>leveled.csv`, under `out`; return the file names in that order."""
+    names = []
+    for method, fused in [*per_method.items(), ("leveled", leveled)]:
+        names.append(f"{prefix}{method}.csv")
+        write_fused(fused, out / names[-1])
+    return names

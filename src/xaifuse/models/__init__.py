@@ -35,6 +35,7 @@ __all__ = [
     "RandomForest",
     "SvmRbf",
     "default_params",
+    "family_class",
     "train_model",
 ]
 
@@ -83,6 +84,12 @@ _FAMILIES = {
 }
 
 
+def family_class(family: ModelFamily | str) -> type:
+    """The class that trains a family; its constructor's annotations type
+    the family's hyperparameters."""
+    return _FAMILIES[ModelFamily(family)][0]
+
+
 def default_params(family: ModelFamily | str) -> dict:
     """Settable hyperparameter names and defaults; the seed is not one."""
     cls, preset = _FAMILIES[ModelFamily(family)]
@@ -115,7 +122,7 @@ def train_model(
     """Construct and fit one classifier. Stochastic families draw sub-seeds
     from (seed, family) so training order never matters."""
     family = ModelFamily(family)
-    cls = _FAMILIES[family][0]
+    cls = family_class(family)
     params = resolve_params(family, overrides)
     if "seed" in inspect.signature(cls).parameters:
         params["seed"] = derive_seed(seed, "train", family.value)

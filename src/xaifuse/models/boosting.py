@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ovr import ovr_proba, ovr_targets, sigmoid
+from .ovr import ovr_proba, ovr_targets, sigmoid, softmax
 from .tree import DecisionTree
 
 _PROBA_FLOOR = 1e-10
@@ -82,10 +82,7 @@ class AdaBoost:
 
     def predict_proba(self, X) -> np.ndarray:
         k = len(self.classes_)
-        z = self.decision_function(X) / (k - 1.0)
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(self.decision_function(X) / (k - 1.0))
 
     def predict(self, X) -> np.ndarray:
         return self.classes_[np.argmax(self.decision_function(X), axis=1)]

@@ -11,13 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..seeding import rng_for
-from .ovr import ovr_proba, sigmoid
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+from .ovr import ovr_proba, sigmoid, softmax
 
 
 class MlpClassifier:
@@ -99,7 +93,7 @@ class MlpClassifier:
             loss = float(np.mean(np.maximum(zf, 0.0) - zf * t + np.log1p(np.exp(-np.abs(zf)))))
             dz = ((sigmoid(zf) - t) / n)[:, None]
         else:
-            probs = _softmax(z)
+            probs = softmax(z)
             loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), target], 1e-300))))
             dz = probs.copy()
             dz[np.arange(n), target] -= 1.0
@@ -161,7 +155,7 @@ class MlpClassifier:
         w1, b1, w2, b2 = self._unpack(self.params_, self.n_features_, k_out)
         h = np.maximum(X @ w1 + b1, 0.0)
         z = h @ w2 + b2
-        return ovr_proba(z) if self._binary else _softmax(z)
+        return ovr_proba(z) if self._binary else softmax(z)
 
     def predict(self, X) -> np.ndarray:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

@@ -1,4 +1,5 @@
-"""The logistic sigmoid and the one-vs-rest rule shared by the scorer families.
+"""The logistic sigmoid, the softmax and the one-vs-rest rule shared by the
+scorer families.
 
 A binary problem gets one scorer whose positive class is the higher label;
 a multiclass problem gets one scorer per class. Each scorer's raw score goes
@@ -14,6 +15,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-z) overflows to inf for z < -709, which correctly yields 0
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-z))
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by the row maximum so exp cannot overflow."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def ovr_targets(y) -> tuple[np.ndarray, list[np.ndarray]]:

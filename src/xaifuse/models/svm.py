@@ -155,6 +155,8 @@ class SvmRbf:
     ):
         if c <= 0:
             raise ValueError("c must be positive")
+        if isinstance(gamma, str) and gamma != "auto":
+            raise ValueError("gamma must be a number or 'auto'")
         self.c = c
         self.gamma = gamma
         self.tol = tol

@@ -12,11 +12,13 @@ import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Mapping, Sequence, get_args, get_origin, get_type_hints
+from types import UnionType
+from typing import Any, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
+from .artifacts import write_json, write_text
 from .data import (
     SENSOR_SCHEMA,
     VEREMI_SCHEMA,
@@ -32,8 +34,6 @@ from .data import (
     undersample,
 )
 from .evaluation import (
-    ConformanceReport,
-    EvaluationError,
     conformance_check,
     conformance_markdown,
     evaluate_feature_subset,
@@ -59,13 +59,14 @@ from .fusion import (
     to_ranks,
     top_k,
     two_level_fuse,
-    write_fused,
+    write_fusion,
     write_rank_table,
 )
 from .models import (
     EVALUATION_FAMILIES,
     RANKED_FAMILIES,
     ModelFamily,
+    family_class,
     resolve_params,
     train_model,
 )
@@ -130,6 +131,11 @@ class SourceSpec:
                 raise ConfigError("n_rows must be at least 2")
             if not 0.0 < self.anomaly_fraction < 1.0:
                 raise ConfigError("anomaly_fraction must lie strictly between 0 and 1")
+            if self.violable_features == ():
+                raise ConfigError("violable_features must be a non-empty list")
+            unknown = set(self.violable_features or ()) - set(SENSOR_SCHEMA.feature_names)
+            if unknown:
+                raise ConfigError(f"unknown violable_features: {sorted(unknown)}")
 
     def feature_schema(self) -> FeatureSchema | None:
         """The schema of the source's rows, or None for the fixtures. Both the
@@ -163,8 +169,13 @@ def _family_overrides(raw: Any, what: str) -> FamilyOverrides:
             overrides = {}
         if not isinstance(overrides, dict):
             raise ConfigError(f"overrides for {name} must be a map")
+        cls = family_class(family)
         try:
-            resolve_params(family, overrides)
+            params = resolve_params(family, overrides)
+            hints = get_type_hints(cls.__init__)
+            for key, value in overrides.items():
+                _typed(value, hints[key], f"{name}.{key}")
+            cls(**params)  # the constructor's own range checks
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad overrides for {name}: {exc}") from None
         out.append((family, dict(overrides)))
@@ -305,23 +316,29 @@ _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 def _typed(value: Any, hint: Any, name: str) -> Any:
     """`value` if it has the JSON type that the annotation `hint` names: an
     integer is never a boolean, a number may be written as an integer, a
-    tuple is written as a list and a dataclass as a section."""
+    tuple is written as a list and a dataclass as a section. A union such as
+    `X | None` or `float | str` takes a value of any of its types."""
     if is_dataclass(hint):
         return _built(hint, name, _entries(hint, value, name))
-    args = get_args(hint)
-    if type(None) in args:  # X | None
-        if value is None:
-            return None
-        (hint,) = (a for a in args if a is not type(None))
-        args = get_args(hint)
-    if get_origin(hint) is tuple:  # tuple[X, ...]
+    options = get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
+    if value is None and type(None) in options:
+        return None
+    options = tuple(o for o in options if o is not type(None))
+    if get_origin(options[0]) is tuple:  # tuple[X, ...] or tuple[X, ...] | None
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name} must be a list, got {value!r}")
-        return tuple(_typed(v, args[0], f"{name} entry") for v in value)
-    accepted = (int, float) if hint is float else hint
-    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
-        raise ConfigError(f"{name} must be {_JSON_TYPES[hint]}, got {value!r}")
+        (entry, _) = get_args(options[0])
+        return tuple(_typed(v, entry, f"{name} entry") for v in value)
+    if not any(_is_json_type(value, o) for o in options):
+        wanted = " or ".join(_JSON_TYPES[o] for o in options)
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
     return value
+
+
+def _is_json_type(value: Any, hint: type) -> bool:
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def parse_config(raw: Any) -> PipelineConfig:
@@ -345,38 +362,33 @@ class ExplainCost:
 
 
 @dataclass(frozen=True)
+class Stage:
+    """Wall time of one pipeline stage."""
+
+    name: str
+    seconds: float
+
+
+@dataclass(frozen=True)
 class RunManifest:
+    """manifest.json holds exactly these fields."""
+
     config_hash: str
     version: str
-    stages: tuple[tuple[str, float], ...]
+    stages: tuple[Stage, ...]
     artifacts: tuple[str, ...]
     explanations: tuple[ExplainCost, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "stages": [{"name": n, "seconds": s} for n, s in self.stages],
-            "explanations": [asdict(c) for c in self.explanations],
-            "artifacts": list(self.artifacts),
-        }
 
 
 class _StageClock:
     def __init__(self) -> None:
-        self.stages: list[tuple[str, float]] = []
+        self.stages: list[Stage] = []
 
     def run(self, name: str, fn):
         t0 = time.perf_counter()
         result = fn()
-        self.stages.append((name, time.perf_counter() - t0))
+        self.stages.append(Stage(name, time.perf_counter() - t0))
         return result
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def _write_manifest(
@@ -393,7 +405,7 @@ def _write_manifest(
         artifacts=tuple(sorted(artifacts)),
         explanations=tuple(costs),
     )
-    _write_json(out / "manifest.json", manifest.to_dict())
+    write_json(out / "manifest.json", asdict(manifest))
     return manifest
 
 
@@ -549,23 +561,16 @@ def _emit_run_report(
     feature_sets: dict[str, list[str]],
     results: dict[str, dict[str, dict]],
 ) -> list[str]:
-    artifacts: list[str] = []
-
-    def track(name: str) -> Path:
-        artifacts.append(name)
-        return out / name
-
     all_vectors = [v for vs in by_method.values() for v in vs]
-    write_importance_csv(track("importances.csv"), schema.feature_names, all_vectors)
-    for method, table in tables.items():
-        write_rank_table(table, track(f"ranks_{method}.csv"))
-    for method, fused in per_method.items():
-        write_fused(fused, track(f"fused_{method}.csv"))
-    write_fused(leveled, track("fused_leveled.csv"))
+    write_importance_csv(out / "importances.csv", schema.feature_names, all_vectors)
+    ranks = [f"ranks_{method}.csv" for method in tables]
+    for name, table in zip(ranks, tables.values()):
+        write_rank_table(table, out / name)
+    fused = write_fusion(per_method, leveled, out, "fused_")
 
     # canonical JSON sorts map keys, so the display order travels as lists
-    _write_json(
-        track("metrics.json"),
+    write_json(
+        out / "metrics.json",
         {
             "config_hash": cfg.config_hash(),
             "run": {
@@ -583,9 +588,9 @@ def _emit_run_report(
         },
     )
     # no fixture comparison applies to user or generated data
-    _write_json(track("conformance.json"), None)
-    track("summary.md").write_text(render_summary_from_artifacts(out), encoding="utf-8")
-    return artifacts
+    write_json(out / "conformance.json", None)
+    write_text(out / "summary.md", render_summary_from_artifacts(out))
+    return ["importances.csv", *ranks, *fused, "metrics.json", "conformance.json", "summary.md"]
 
 
 def _run_summary_lines(metrics: dict) -> list[str]:
@@ -635,27 +640,36 @@ def render_summary_from_artifacts(out_dir: str | Path) -> str:
         raise DataError(f"no run artifacts under {out}")
 
     if metrics_path.exists():
-        metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
-        try:
-            lines = _run_summary_lines(metrics)
-        except KeyError as exc:
-            raise DataError(f"{metrics_path} lacks the field {exc}") from None
+        lines = _rendered(metrics_path, _run_summary_lines)
     else:
         lines = ["# Conformance summary", ""]
-    conf = None
     if conf_path.exists():
-        conf = json.loads(conf_path.read_text(encoding="utf-8"))
-    if conf is None:
-        lines += [
+        lines += _rendered(conf_path, _conformance_lines)
+    else:
+        lines += _conformance_lines(None)
+    lines.append(reference_metrics_markdown())
+    return "\n".join(lines)
+
+
+def _rendered(path: Path, render) -> list[str]:
+    """render() of the JSON document at `path`; a field it lacks is a
+    DataError that names the file and the field."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return render(doc)
+    except KeyError as exc:
+        raise DataError(f"{path} lacks the field {exc}") from None
+
+
+def _conformance_lines(doc: dict | None) -> list[str]:
+    if doc is None:
+        return [
             "## Conformance",
             "",
             "null (runs on generated or user data have no reference column)",
             "",
         ]
-    else:
-        lines.append(conformance_markdown(ConformanceReport.from_dict(conf)))
-    lines.append(reference_metrics_markdown())
-    return "\n".join(lines)
+    return [conformance_markdown(doc)]
 
 
 def run_fixture_conformance(out_dir: str | Path, spec: FusionSpec | None = None):
@@ -664,7 +678,6 @@ def run_fixture_conformance(out_dir: str | Path, spec: FusionSpec | None = None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     clock = _StageClock()
-    artifacts: list[str] = []
 
     def fuse_all():
         computed = {}
@@ -677,19 +690,11 @@ def run_fixture_conformance(out_dir: str | Path, spec: FusionSpec | None = None)
     computed = clock.run("fuse", fuse_all)
     report = clock.run("conformance", lambda: conformance_check(computed))
 
+    artifacts = ["conformance.json", "summary.md"]
     for dataset, (per_method, leveled) in computed.items():
-        for method, fused in per_method.items():
-            name = f"fused_{dataset}_{method}.csv"
-            write_fused(fused, out / name)
-            artifacts.append(name)
-        name = f"fused_{dataset}_leveled.csv"
-        write_fused(leveled, out / name)
-        artifacts.append(name)
-
-    _write_json(out / "conformance.json", report.to_dict())
-    artifacts.append("conformance.json")
-    (out / "summary.md").write_text(render_summary_from_artifacts(out), encoding="utf-8")
-    artifacts.append("summary.md")
+        artifacts += write_fusion(per_method, leveled, out, f"fused_{dataset}_")
+    write_json(out / "conformance.json", asdict(report))
+    write_text(out / "summary.md", render_summary_from_artifacts(out))
 
     cfg_hash = sha256(b"fixture-conformance").hexdigest()
     manifest = _write_manifest(out, cfg_hash, clock, artifacts)

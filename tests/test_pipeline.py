@@ -112,6 +112,28 @@ class TestParseConfig:
                 }
             )
 
+    def test_overrides_take_the_constructor_types(self):
+        # an integer is a number wherever the constructor takes a float
+        models = {"svm_rbf": {"gamma": 1, "c": 2}, "knn": {"p": 1}, "mlp": {}}
+        judges = {"logistic_regression": {"class_weight": None}}
+        cfg = parse_config(
+            {
+                "seed": 1,
+                "source": {"kind": "synthetic_sensor"},
+                "models": models,
+                "independent_classifiers": judges,
+            }
+        )
+        assert {f.value: o for f, o in cfg.models} == models
+        assert {f.value: o for f, o in cfg.independent_classifiers} == judges
+        parse_config(
+            {
+                "seed": 1,
+                "source": {"kind": "synthetic_sensor"},
+                "models": {"svm_rbf": {"gamma": "auto"}},
+            }
+        )
+
     def test_tree_criterion_is_not_a_knob(self):
         # the ranked tree is a classifier; a regression criterion only broke runs
         with pytest.raises(ConfigError, match="criterion"):
@@ -285,6 +307,17 @@ MALFORMED = {
     "violable_features a string": (("source", "violable_features"), "Speed"),
     "repeated method": (("explainers", "methods"), ["shap", "shap"]),
     "model name a list": (("models",), [["knn"]]),
+    "max_iter a string": (
+        ("independent_classifiers",),
+        {"logistic_regression": {"max_iter": "5"}},
+    ),
+    "negative c": (("independent_classifiers",), {"logistic_regression": {"c": -1}}),
+    "n_neighbors a string": (("models",), {"knn": {"n_neighbors": "3"}}),
+    "n_neighbors a bool": (("models",), {"knn": {"n_neighbors": True}}),
+    "gamma neither number nor string": (("models",), {"svm_rbf": {"gamma": [1]}}),
+    "gamma a string other than auto": (("models",), {"svm_rbf": {"gamma": "fast"}}),
+    "unknown violable feature": (("source", "violable_features"), ["Nope"]),
+    "no violable feature": (("source", "violable_features"), []),
     "schema and features": (
         ("source",),
         {
@@ -621,6 +654,12 @@ class TestCli:
     def test_report_on_empty_dir_exits_3(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_report_on_conformance_without_a_field_exits_3(self, tmp_path, capsys):
+        (tmp_path / "conformance.json").write_text(json.dumps({"passed": True}))
+        assert main(["report", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "conformance.json lacks the field 'required'" in err
 
     def test_report_on_metrics_without_run_facts_exits_3(self, tmp_path, capsys):
         (tmp_path / "metrics.json").write_text(
