@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ovr import ovr_proba, ovr_targets, sigmoid, softmax
-from .tree import DecisionTree
+from .tree import DecisionTree, TreeStack, _end_to_end, _presort
 
 _PROBA_FLOOR = 1e-10
 
@@ -49,12 +49,13 @@ class AdaBoost:
         coded = np.full((n, k), -1.0 / (k - 1))
         coded[np.arange(n), yi] = 1.0
 
+        presorted = _presort(X)
         self.trees_: list[DecisionTree] = []
         for _ in range(self.n_estimators):
             tree = DecisionTree(
                 max_depth=self.base_max_depth,
                 min_samples_leaf=self.base_min_samples_leaf,
-            ).fit(X, yi, sample_weight=w)
+            ).fit(X, yi, sample_weight=w, _presorted=presorted)
             self.trees_.append(tree)
             proba = tree.predict_proba(X)
             err = float(w @ (np.argmax(proba, axis=1) != yi))
@@ -69,16 +70,17 @@ class AdaBoost:
             if total <= 0 or not np.isfinite(total):
                 break
             w /= total
+        self._stack = TreeStack(self.trees_)
+        # each leaf's symmetrized log-probability vote, as a row would get it
+        leaf_p = np.concatenate([t.value_ for t in self.trees_])
+        log_p = np.log(np.maximum(leaf_p, _PROBA_FLOOR))
+        self._votes = (k - 1.0) * (log_p - log_p.mean(axis=1, keepdims=True))
         return self
 
     def decision_function(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        k = len(self.classes_)
-        votes = np.zeros((X.shape[0], k))
-        for tree in self.trees_:
-            log_p = np.log(np.maximum(tree.predict_proba(X), _PROBA_FLOOR))
-            votes += (k - 1.0) * (log_p - log_p.mean(axis=1, keepdims=True))
-        return votes / len(self.trees_)
+        votes = np.zeros((X.shape[0], len(self.classes_)))
+        return self._stack.tree_sum(X, self._votes, votes) / len(self.trees_)
 
     def predict_proba(self, X) -> np.ndarray:
         k = len(self.classes_)
@@ -97,7 +99,7 @@ class _BinaryBooster:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
 
-    def fit(self, X: np.ndarray, y01: np.ndarray) -> "_BinaryBooster":
+    def fit(self, X: np.ndarray, y01: np.ndarray, presorted) -> "_BinaryBooster":
         pos = y01.mean()
         pos = min(max(pos, 1e-12), 1.0 - 1e-12)
         self.prior_ = float(np.log(pos / (1.0 - pos)))
@@ -109,24 +111,23 @@ class _BinaryBooster:
             tree = DecisionTree(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
-            ).fit_regression(X, residual)
+            ).fit_regression(X, residual, _presorted=presorted)
             leaves = tree.apply(X)
             uniq = np.unique(leaves)
-            num = np.zeros(tree.node_count)
-            den = np.zeros(tree.node_count)
-            np.add.at(num, leaves, residual)
-            np.add.at(den, leaves, p * (1.0 - p))
+            num = np.bincount(leaves, weights=residual, minlength=tree.node_count)
+            den = np.bincount(leaves, weights=p * (1.0 - p), minlength=tree.node_count)
             newton = num[uniq] / np.maximum(den[uniq], 1e-12)
             tree.set_leaf_values(uniq, newton)
             self.trees_.append(tree)
-            f += self.learning_rate * tree.predict(X)
+            f += self.learning_rate * tree.value_[leaves, 0]
+        self._stack = TreeStack(self.trees_)
+        self._steps = self.learning_rate * _end_to_end(
+            [t.value_[:, 0] for t in self.trees_], np.float64
+        )
         return self
 
     def raw_score(self, X: np.ndarray) -> np.ndarray:
-        f = np.full(X.shape[0], self.prior_)
-        for tree in self.trees_:
-            f += self.learning_rate * tree.predict(X)
-        return f
+        return self._stack.tree_sum(X, self._steps, np.full(X.shape[0], self.prior_))
 
 
 class GradientBoosting:
@@ -147,13 +148,14 @@ class GradientBoosting:
     def fit(self, X, y) -> "GradientBoosting":
         X = np.asarray(X, dtype=np.float64)
         self.classes_, targets = ovr_targets(y)
+        presorted = _presort(X)
         self._boosters = [
             _BinaryBooster(
                 self.n_estimators,
                 self.learning_rate,
                 self.max_depth,
                 self.min_samples_leaf,
-            ).fit(X, t)
+            ).fit(X, t, presorted)
             for t in targets
         ]
         return self

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..seeding import rng_for
-from .tree import DecisionTree
+from .tree import DecisionTree, TreeStack
 
 
 class RandomForest:
@@ -51,16 +51,18 @@ class RandomForest:
                 min_samples_split=self.min_samples_split,
             ).fit(xt, yt)
             self.trees_.append(tree)
+        self._stack = TreeStack(self.trees_)
+        # bootstrap samples can miss rare classes; align by label
+        self._values = np.zeros((len(self._stack.feature), len(self.classes_)))
+        for tree, root in zip(self.trees_, self._stack.roots):
+            cols = np.searchsorted(self.classes_, tree.classes_)
+            self._values[root : root + tree.node_count, cols] = tree.value_
         return self
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         out = np.zeros((X.shape[0], len(self.classes_)))
-        for tree in self.trees_:
-            # bootstrap samples can miss rare classes; align by label
-            cols = np.searchsorted(self.classes_, tree.classes_)
-            out[:, cols] += tree.predict_proba(X)
-        return out / len(self.trees_)
+        return self._stack.tree_sum(X, self._values, out) / len(self.trees_)
 
     def predict(self, X) -> np.ndarray:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

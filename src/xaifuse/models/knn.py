@@ -8,6 +8,20 @@ import numpy as np
 CHUNK_SIZE = 1024
 
 
+def _sq_distances(q: np.ndarray, x: np.ndarray, sq_x: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances between the rows of q and of x (sq_x =
+    (x**2).sum(1)), clipped at 0. Built in place, so the result is the only
+    q-by-x temporary; the bits equal those of the plain expression
+    (q**2).sum(1)[:, None] - 2.0 * q @ x.T + sq_x. The factor goes on q
+    first, as there: `q @ q.T` would take a symmetric BLAS product that
+    rounds differently."""
+    d = (-2.0 * q) @ x.T
+    d += (q**2).sum(axis=1)[:, None]
+    d += sq_x
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
 class KnnClassifier:
     """Majority vote over the k closest training rows (minkowski metric).
 
@@ -33,30 +47,28 @@ class KnnClassifier:
         return self
 
     def _neighbor_votes(self, X: np.ndarray) -> np.ndarray:
-        n_query = X.shape[0]
-        k = self.n_neighbors
         n_classes = len(self.classes_)
-        votes = np.zeros((n_query, n_classes))
-        sq_train = None
-        if self.p == 2.0:
-            sq_train = (self._x**2).sum(axis=1)
-        for lo in range(0, n_query, CHUNK_SIZE):
-            q = X[lo : lo + CHUNK_SIZE]
-            if self.p == 2.0:
-                d = (q**2).sum(axis=1)[:, None] - 2.0 * q @ self._x.T + sq_train
-                np.maximum(d, 0.0, out=d)
-            else:
-                d = (
-                    np.abs(q[:, None, :] - self._x[None, :, :]) ** self.p
-                ).sum(axis=2)
-            if k < d.shape[1]:
-                nearest = np.argpartition(d, k - 1, axis=1)[:, :k]
-            else:
-                nearest = np.broadcast_to(np.arange(d.shape[1]), d.shape).copy()
-            labels = self._yi[nearest]
-            for c in range(n_classes):
-                votes[lo : lo + q.shape[0], c] = (labels == c).sum(axis=1)
+        votes = np.zeros((X.shape[0], n_classes))
+        sq_train = (self._x**2).sum(axis=1) if self.p == 2.0 else None
+        for lo in range(0, X.shape[0], CHUNK_SIZE):
+            labels = self._neighbor_labels(X[lo : lo + CHUNK_SIZE], sq_train)
+            votes[lo : lo + len(labels)] = (
+                labels[:, :, None] == np.arange(n_classes)
+            ).sum(axis=1)
         return votes
+
+    def _neighbor_labels(self, q: np.ndarray, sq_train) -> np.ndarray:
+        """Class index of each query row's k nearest training rows. The
+        distance block and the partition's index array die on return, so
+        they never overlap the next chunk's."""
+        if self.p == 2.0:
+            d = _sq_distances(q, self._x, sq_train)
+        else:
+            d = (np.abs(q[:, None, :] - self._x[None, :, :]) ** self.p).sum(axis=2)
+        k = self.n_neighbors
+        if k < d.shape[1]:
+            return self._yi[np.argpartition(d, k - 1, axis=1)[:, :k]]
+        return np.broadcast_to(self._yi, d.shape)
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -1,19 +1,52 @@
-"""Axis-aligned decision trees with a vectorized level-synchronous builder.
+"""Axis-aligned decision trees: one exact CART builder and one stacked
+walker serve every tree family (decision tree, random forest, AdaBoost and
+the gradient-boosted judges).
 
-The builder handles one depth level at a time: rows are bucketed by node,
-prefix sums over presorted feature columns score every candidate threshold
-in a single pass, and segment argmax picks each node's winner. Ties resolve
-to the lowest feature index, then the lowest threshold, so a refit is
-bit-for-bit reproducible. No randomness anywhere.
+Building. `DecisionTree` grows a tree one depth level at a time and
+searches the splits of every node at that level over all features at once,
+in a (features, rows[, classes]) layout:
+
+- Each feature keeps its rows in (node, value) order. At the root that is
+  a stable argsort of the column. A level's order is the previous level's
+  without the rows that ended in leaves, each parent's rows split stably
+  into its left child's and then its right child's, so no level sorts
+  again. A column that is constant on the fit rows has no threshold and is
+  left out.
+- Node totals are `np.bincount` sums over the active rows in row order.
+- Per feature, one cumulative sum runs over the rows of every active node
+  of the level, in that order, and a node's left-side statistics at a
+  threshold are the difference of two of its prefix sums. With float
+  weights (AdaBoost) or float targets (gradient boosting) that difference
+  carries rounding from the rows of earlier nodes, nodes that cannot split
+  included, so which rows enter the sum decides trees at rounding level.
+  The sum keeps running over every active row: restricting it to the rows
+  of splittable nodes changed 1 of 12 ranked classification trees and 20
+  of 120 judge trees on one VeReMi run.
+- A candidate threshold is a midpoint strictly between two distinct
+  adjacent values in one node that leaves at least min_samples_leaf rows
+  on each side; the gain algebra runs over every adjacent pair at once and
+  keeps the candidates' gains.
+- Each node takes its highest gain. Ties resolve to the lowest feature
+  index, then the lowest threshold, so a refit is bit-for-bit
+  reproducible. No randomness anywhere.
 
 Both criteria reduce to the same algebra: maximizing
 sum_side (sum_k stat_k)^2 / weight_side, where stat is the weighted one-hot
-label matrix for gini and the weighted target column for mse.
+label matrix for gini and the target column for mse.
+
+Walking. `TreeStack` concatenates the node arrays of an ensemble's trees
+with per-tree offsets and walks every tree for a block of rows together,
+in blocks of at most CELL_BUDGET (row, tree) cells. `DecisionTree.apply` is
+that walk over one tree. Ensembles add their trees' leaf values in tree
+order, so their sums do not depend on how the walk is blocked.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# (row, tree) cells per walk block; bounds the walker's temporaries
+CELL_BUDGET = 1 << 16
 
 
 def _check_rows(X) -> np.ndarray:
@@ -23,13 +56,105 @@ def _check_rows(X) -> np.ndarray:
     return X
 
 
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What every tree grown on X starts from: the columns that vary (a
+    constant one has no threshold), their values as (features, rows), and
+    each one's stable row order. Boosting computes it once per fit."""
+    feats = np.flatnonzero((X[1:] != X[:1]).any(axis=0))
+    xt = np.ascontiguousarray(X[:, feats].T)
+    return feats, xt, np.argsort(xt, axis=1, kind="stable")
+
+
+def _best_splits(xt, order, seg, stat, w, tot, tw, tn, parent_score, splittable, min_leaf):
+    """Best (gain, feature, threshold) per active node; feature -1 where no
+    candidate exists. xt is (features, rows); order[f] lists the active
+    rows grouped by node in node order, by value of feature f inside a
+    node, and seg[i] is the node at position i. A split between positions
+    i and i + 1 is scored in column i of the (features, positions) arrays."""
+    n_active = len(tn)
+    best_gain = np.full(n_active, -np.inf)
+    best_feat = np.full(n_active, -1, dtype=np.int64)
+    best_thr = np.zeros(n_active)
+    n_feat, m = order.shape
+    start = np.cumsum(tn) - tn
+    s0 = seg[:-1]
+    left_n = np.arange(1, m) - start[s0]
+    xs = np.take(xt, order + xt.shape[1] * np.arange(n_feat)[:, None])
+    xa, xb = xs[:, :-1], xs[:, 1:]
+    mid = (xa + xb) / 2.0
+    cand = (
+        (s0 == seg[1:])
+        & splittable[s0]
+        & (left_n >= min_leaf)
+        & (tn[s0] - left_n >= min_leaf)
+        & (mid > xa)
+        & (mid < xb)
+    )
+    if not cand.any():
+        return best_gain, best_feat, best_thr
+    # the level-wide prefix sums (see the module docstring), each led by a
+    # zero so that a node's left side is always a difference of two
+    k = stat.shape[1]
+    cum = np.zeros((n_feat, m + 1, k))
+    np.cumsum(np.take(stat, order, axis=0), axis=1, out=cum[:, 1:])
+    cumw = np.zeros((n_feat, m + 1))
+    np.cumsum(np.take(w, order), axis=1, out=cumw[:, 1:])
+    left_s = cum[:, 1:m] - np.take(cum, start[s0], axis=1)
+    left_w = cumw[:, 1:m] - np.take(cumw, start[s0], axis=1)
+    right_s = tot[s0] - left_s
+    right_w = tw[s0] - left_w
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sl = np.where(left_w > 0, (left_s**2).sum(axis=2) / left_w, 0.0)
+        sr = np.where(right_w > 0, (right_s**2).sum(axis=2) / right_w, 0.0)
+    gain = np.where(cand, sl + sr - parent_score[s0], -np.inf)
+
+    # per node: the highest gain, then the lowest feature, then the lowest
+    # position reaching it; a node's columns run from start[node]
+    col = np.full(m, -np.inf)
+    col[:-1] = gain.max(axis=0)
+    top = np.maximum.reduceat(col, start)
+    none = n_feat * m
+    key = np.where(
+        cand & (gain >= top[s0]), np.arange(n_feat)[:, None] * m + np.arange(m - 1), none
+    )
+    col = np.full(m, none)
+    col[:-1] = key.min(axis=0)
+    win = np.minimum.reduceat(col, start)
+    found = win < none
+    wf, wp = np.divmod(win[found], m)
+    best_gain[found] = top[found]
+    best_feat[found] = wf
+    best_thr[found] = (xs[wf, wp] + xs[wf, wp + 1]) / 2.0
+    return best_gain, best_feat, best_thr
+
+
+def _child_order(order, go_right, n_left, n_right):
+    """order[f] of the next level: each parent's rows with the left child's
+    first, keeping their order inside each child. Positions of `order` are
+    grouped by parent, in parent order."""
+    n_feat, m = order.shape
+    size = n_left + n_right
+    parent = np.repeat(np.arange(len(size)), size)
+    right_lo = (np.cumsum(size) - n_right)[parent]
+    right_before = (np.cumsum(n_right) - n_right)[parent]
+    r = go_right[order]
+    # right rows before each position inside its parent
+    rb = np.cumsum(r, axis=1) - r - right_before
+    dest = np.where(r, right_lo + rb, np.arange(m) - rb)
+    dest += m * np.arange(n_feat)[:, None]
+    out = np.empty_like(order)
+    np.put(out, dest, order)
+    return out
+
+
 class DecisionTree:
     """CART-style tree for weighted classification (gini, `fit`) or
     regression (mse, `fit_regression`).
 
     After fit the tree is a set of flat arrays: feature_ (-1 marks a leaf),
     threshold_, children_left_, children_right_, value_ (class distribution
-    per node, or scalar mean for regression), n_node_samples_.
+    per node, or scalar mean for regression), n_node_samples_. Node ids are
+    numbered level by level.
     """
 
     def __init__(
@@ -46,8 +171,9 @@ class DecisionTree:
 
     # -- fitting ---------------------------------------------------------
 
-    def fit(self, X, y, sample_weight=None) -> "DecisionTree":
-        """Grow a classification tree (gini) on labels y."""
+    def fit(self, X, y, sample_weight=None, _presorted=None) -> "DecisionTree":
+        """Grow a classification tree (gini) on labels y. `_presorted` is
+        `_presort(X)`, for callers that grow many trees on one X."""
         X = _check_rows(X)
         n = X.shape[0]
         w = (
@@ -57,70 +183,53 @@ class DecisionTree:
         )
         if w.shape != (n,) or np.any(w < 0):
             raise ValueError("sample_weight must be nonnegative with one entry per row")
-        self.classes_, self._yi = np.unique(np.asarray(y), return_inverse=True)
+        self.classes_, yi = np.unique(np.asarray(y), return_inverse=True)
         k = len(self.classes_)
         stat = np.zeros((n, k), dtype=np.float64)
-        stat[np.arange(n), self._yi] = w
-        self._grow(X, stat, w, k)
+        stat[np.arange(n), yi] = w
+        self._grow(stat, w, yi, _presorted or _presort(X))
         return self
 
-    def fit_regression(self, X, y) -> "DecisionTree":
+    def fit_regression(self, X, y, _presorted=None) -> "DecisionTree":
         """Grow a regression tree (mse) on real targets y, every row weight 1."""
         X = _check_rows(X)
         self.classes_ = None
-        self._yv = np.asarray(y, dtype=np.float64)
-        self._grow(X, self._yv[:, None], np.ones(X.shape[0], dtype=np.float64), 1)
+        yv = np.asarray(y, dtype=np.float64)
+        w = np.ones(X.shape[0], dtype=np.float64)
+        self._grow(yv[:, None], w, None, _presorted or _presort(X))
         return self
 
-    def _grow(self, X: np.ndarray, stat: np.ndarray, w: np.ndarray, k: int) -> None:
-        n, p = X.shape
-        order = np.argsort(X, axis=0, kind="stable")
+    def _grow(self, stat: np.ndarray, w: np.ndarray, yi, presorted) -> None:
+        """yi holds the class index of each row, or None for regression."""
+        n, k = stat.shape
         min_leaf = self.min_samples_leaf
-
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        n_samples: list[int] = []
-        leaf_stat: list[np.ndarray | None] = []
-
-        def new_node() -> int:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            n_samples.append(0)
-            leaf_stat.append(None)
-            return len(feature) - 1
-
-        node_of = np.zeros(n, dtype=np.int64)
-        active = [new_node()]
+        # node totals are bincounts of (node, col) weighted by sv: each row's
+        # class and weight for gini, column 0 and the target for mse
+        if yi is None:
+            col, sv = np.zeros(n, dtype=np.int64), stat[:, 0]
+            sq_w = w * stat[:, 0] ** 2
+        else:
+            col, sv = yi, w
+        feats, xt, order = presorted
+        act = np.arange(n)  # rows of active nodes, ascending
+        slot = np.zeros(n, dtype=np.int64)  # each row's node, by index in its level
+        n_active, first_id = 1, 0
+        levels = []
 
         for depth in range(self.max_depth + 1):
-            if not active:
-                break
-            n_active = len(active)
-            slot_arr = np.full(len(feature), -1, dtype=np.int64)
-            slot_arr[active] = np.arange(n_active)
-            slot = slot_arr[node_of]
-            ra = slot >= 0
-
-            tot = np.zeros((n_active, k), dtype=np.float64)
-            if k > 1:
-                np.add.at(tot, (slot[ra], self._yi[ra]), w[ra])
-            else:
-                np.add.at(tot[:, 0], slot[ra], stat[ra, 0])
-            tw = np.zeros(n_active)
-            np.add.at(tw, slot[ra], w[ra])
-            tn = np.bincount(slot[ra], minlength=n_active)
+            s_act = slot[act]
+            tot = np.bincount(
+                s_act * k + col[act], weights=sv[act], minlength=n_active * k
+            ).reshape(n_active, k)
+            tw = np.bincount(s_act, weights=w[act], minlength=n_active)
+            tn = np.bincount(s_act, minlength=n_active)
             with np.errstate(invalid="ignore", divide="ignore"):
                 parent_score = np.where(tw > 0, (tot**2).sum(axis=1) / tw, 0.0)
-            if self.classes_ is not None:
-                impurity = tw - parent_score
+            if yi is None:
+                impurity = np.bincount(s_act, weights=sq_w[act], minlength=n_active)
+                impurity -= parent_score
             else:
-                sq = np.zeros(n_active)
-                np.add.at(sq, slot[ra], w[ra] * self._yv[ra] ** 2)
-                impurity = sq - parent_score
+                impurity = tw - parent_score
             # relative purity tolerance: constant nodes may carry fp dust
             pure = impurity <= np.maximum(tw, 1.0) * 1e-12
             splittable = (
@@ -129,149 +238,68 @@ class DecisionTree:
                 & ~pure
                 & (depth < self.max_depth)
             )
-
-            best_gain = np.full(n_active, -np.inf)
-            best_feat = np.full(n_active, -1, dtype=np.int64)
-            best_thr = np.zeros(n_active)
-
-            if splittable.any():
-                for f in range(p):
-                    idxf = order[:, f]
-                    sf = slot[idxf]
-                    kp = sf >= 0
-                    idxf = idxf[kp]
-                    sf = sf[kp]
-                    g = np.argsort(sf, kind="stable")
-                    idxf = idxf[g]
-                    sf = sf[g]
-                    m = len(idxf)
-                    if m < 2:
-                        continue
-                    xv = X[idxf, f]
-                    cum = np.cumsum(stat[idxf], axis=0)
-                    cumw = np.cumsum(w[idxf])
-                    starts = np.searchsorted(sf, np.arange(n_active), side="left")
-                    start_pos = starts[sf]
-                    pos_in_node = np.arange(1, m + 1) - start_pos
-                    base_s = np.zeros_like(cum)
-                    base_w = np.zeros(m)
-                    nz = start_pos > 0
-                    base_s[nz] = cum[start_pos[nz] - 1]
-                    base_w[nz] = cumw[start_pos[nz] - 1]
-                    left_s = cum - base_s
-                    left_w = cumw - base_w
-                    right_s = tot[sf] - left_s
-                    right_w = tw[sf] - left_w
-
-                    sfc = sf[:-1]
-                    mid = (xv[:-1] + xv[1:]) / 2.0
-                    cand = (sfc == sf[1:]) & (mid > xv[:-1]) & (mid < xv[1:])
-                    cand &= splittable[sfc]
-                    left_n = pos_in_node[:-1]
-                    cand &= (left_n >= min_leaf) & (tn[sfc] - left_n >= min_leaf)
-                    if not cand.any():
-                        continue
-                    lw = left_w[:-1]
-                    rw = right_w[:-1]
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        sl = np.where(lw > 0, (left_s[:-1] ** 2).sum(axis=1) / lw, 0.0)
-                        sr = np.where(rw > 0, (right_s[:-1] ** 2).sum(axis=1) / rw, 0.0)
-                    gain = np.where(cand, sl + sr - parent_score[sfc], -np.inf)
-
-                    seg_best = np.full(n_active, -np.inf)
-                    np.maximum.at(seg_best, sfc, gain)
-                    hit = np.isfinite(gain) & (gain >= seg_best[sfc])
-                    pos = np.flatnonzero(hit)
-                    if len(pos) == 0:
-                        continue
-                    first = np.full(n_active, m, dtype=np.int64)
-                    np.minimum.at(first, sf[pos], pos)
-                    found = np.flatnonzero(first < m)
-                    # strict > keeps the lowest feature index on cross-feature ties
-                    improved = found[seg_best[found] > best_gain[found]]
-                    if len(improved) == 0:
-                        continue
-                    fp = first[improved]
-                    best_gain[improved] = seg_best[improved]
-                    best_feat[improved] = f
-                    best_thr[improved] = mid[fp]
-
+            seg = np.repeat(np.arange(n_active), tn)
+            best_gain, best_feat, best_thr = _best_splits(
+                xt, order, seg, stat, w, tot, tw, tn, parent_score, splittable, min_leaf
+            )
             # zero-gain splits are accepted (they still shrink both sides,
             # and parity-style labelings need them); the tolerance only
             # absorbs cancellation noise in the prefix sums
             tol = np.maximum(tw, 1.0) * 1e-12
             accept = (best_feat >= 0) & (best_gain >= -tol)
 
-            next_active: list[int] = []
-            lc = np.full(n_active, -1, dtype=np.int64)
-            rc = np.full(n_active, -1, dtype=np.int64)
-            for s_idx in range(n_active):
-                node = active[s_idx]
-                n_samples[node] = int(tn[s_idx])
-                if accept[s_idx]:
-                    feature[node] = int(best_feat[s_idx])
-                    threshold[node] = float(best_thr[s_idx])
-                    a, b = new_node(), new_node()
-                    left[node], right[node] = a, b
-                    lc[s_idx], rc[s_idx] = a, b
-                    next_active.extend((a, b))
-                else:
-                    if tw[s_idx] > 0:
-                        leaf_stat[node] = tot[s_idx] / tw[s_idx]
-                    else:
-                        # only zero-weight rows reached this node; fall back
-                        # to unweighted stats so the leaf still answers
-                        sel = ra & (slot == s_idx)
-                        if k > 1:
-                            cnt = np.bincount(self._yi[sel], minlength=k).astype(float)
-                            leaf_stat[node] = cnt / max(cnt.sum(), 1.0)
-                        else:
-                            vals = self._yv[sel]
-                            leaf_stat[node] = np.array(
-                                [vals.mean() if len(vals) else 0.0]
-                            )
+            rank = np.cumsum(accept) - 1
+            left_id = first_id + n_active + 2 * rank
+            value = np.zeros((n_active, k))
+            leaf = ~accept
+            weighted = leaf & (tw > 0)
+            value[weighted] = tot[weighted] / tw[weighted][:, None]
+            for s in np.flatnonzero(leaf & (tw == 0)):
+                # only zero-weight rows reached this node (classification
+                # only: regression rows weigh 1); fall back to unweighted
+                # class counts so the leaf still answers
+                cnt = np.bincount(yi[act[s_act == s]], minlength=k).astype(float)
+                value[s] = cnt / max(cnt.sum(), 1.0)
+            feature = np.full(n_active, -1, dtype=np.int64)
+            feature[accept] = feats[best_feat[accept]]
+            levels.append(
+                (
+                    feature,
+                    np.where(accept, best_thr, 0.0),
+                    np.where(accept, left_id, -1),
+                    np.where(accept, left_id + 1, -1),
+                    tn,
+                    value,
+                )
+            )
+            if not accept.any():
+                break
 
-            if next_active:
-                rows = np.flatnonzero(ra & accept[np.maximum(slot, 0)])
-                srows = slot[rows]
-                go_left = X[rows, best_feat[srows]] <= best_thr[srows]
-                node_of[rows] = np.where(go_left, lc[srows], rc[srows])
-            active = next_active
+            keep = accept[s_act]
+            rows, s_rows = act[keep], s_act[keep]
+            go_right = np.zeros(n, dtype=bool)
+            go_right[rows] = ~(xt[best_feat[s_rows], rows] <= best_thr[s_rows])
+            slot[rows] = 2 * rank[s_rows] + go_right[rows]
+            counts = np.bincount(slot[rows], minlength=2 * int(accept.sum()))
+            order = _child_order(order[:, accept[seg]], go_right, counts[0::2], counts[1::2])
+            act = rows
+            first_id += n_active
+            n_active = len(counts)
 
-        self.feature_ = np.array(feature, dtype=np.int64)
-        self.threshold_ = np.array(threshold, dtype=np.float64)
-        self.children_left_ = np.array(left, dtype=np.int64)
-        self.children_right_ = np.array(right, dtype=np.int64)
-        self.n_node_samples_ = np.array(n_samples, dtype=np.int64)
-        value = np.zeros((len(feature), k), dtype=np.float64)
-        for i, dist in enumerate(leaf_stat):
-            if dist is not None:
-                value[i] = dist
+        feature, threshold, left, right, n_samples, value = map(np.concatenate, zip(*levels))
+        self.feature_ = feature.astype(np.int64)
+        self.threshold_ = threshold.astype(np.float64)
+        self.children_left_ = left.astype(np.int64)
+        self.children_right_ = right.astype(np.int64)
+        self.n_node_samples_ = n_samples.astype(np.int64)
         self.value_ = value
-        if self.classes_ is not None:
-            del self._yi
-        else:
-            del self._yv
+        self._stack = TreeStack([self])
 
     # -- inference -------------------------------------------------------
 
     def apply(self, X) -> np.ndarray:
         """Leaf node id for each row."""
-        X = np.asarray(X, dtype=np.float64)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            f = self.feature_[node]
-            live = f >= 0
-            if not live.any():
-                return node
-            rows = np.flatnonzero(live)
-            xv = X[rows, f[rows]]
-            go_left = xv <= self.threshold_[node[rows]]
-            node[rows] = np.where(
-                go_left,
-                self.children_left_[node[rows]],
-                self.children_right_[node[rows]],
-            )
+        return self._stack.apply(X)[:, 0]
 
     def predict_proba(self, X) -> np.ndarray:
         if self.classes_ is None:
@@ -293,3 +321,79 @@ class DecisionTree:
     @property
     def node_count(self) -> int:
         return len(self.feature_)
+
+
+def _end_to_end(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    """The arrays concatenated; an empty list gives an empty array."""
+    return np.concatenate([np.zeros(0, dtype=dtype), *arrays])
+
+
+class TreeStack:
+    """The node arrays of fitted trees, concatenated: node i of tree t is
+    stacked node roots[t] + i. A leaf is its own child on both sides and
+    splits on feature 0, so a walk may step past it and stay put."""
+
+    def __init__(self, trees: list[DecisionTree]):
+        sizes = np.array([t.node_count for t in trees], dtype=np.int64)
+        self.roots = np.cumsum(sizes) - sizes
+        feature = _end_to_end([t.feature_ for t in trees], np.int64)
+        leaf = feature < 0
+        ids = np.arange(len(feature))
+        offset = np.repeat(self.roots, sizes)
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = _end_to_end([t.threshold_ for t in trees], np.float64)
+        self.left, self.right = (
+            np.where(leaf, ids, _end_to_end(c, np.int64) + offset)
+            for c in (
+                [t.children_left_ for t in trees],
+                [t.children_right_ for t in trees],
+            )
+        )
+        self.depth = 0  # edges on the longest root-to-leaf path
+        frontier = self.roots[~leaf[self.roots]]
+        while len(frontier):
+            self.depth += 1
+            frontier = np.concatenate([self.left[frontier], self.right[frontier]])
+            frontier = frontier[~leaf[frontier]]
+
+    def apply(self, X) -> np.ndarray:
+        """(rows, trees) stacked id of the leaf each row reaches in each tree."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        leaves = np.empty((X.shape[0], len(self.roots)), dtype=np.int64)
+        for lo, hi in self._blocks(X.shape[0]):
+            leaves[lo:hi] = self._walk(X[lo:hi])
+        return leaves
+
+    def tree_sum(self, X, values: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """start plus values[leaf] of each tree in tree order, per row of X;
+        values holds one entry (or row) per stacked node."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        for lo, hi in self._blocks(X.shape[0]):
+            leaves = self._walk(X[lo:hi])
+            block = start[lo:hi]
+            for t in range(leaves.shape[1]):
+                block += values[leaves[:, t]]
+        return start
+
+    def _blocks(self, n: int):
+        step = max(1, CELL_BUDGET // max(1, len(self.roots)))
+        return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+    def _walk(self, X: np.ndarray) -> np.ndarray:
+        """One level per step for every (row, tree) cell at once; every
+        8 steps the cells that reached a leaf leave the walk."""
+        b, n_trees = X.shape[0], len(self.roots)
+        node = np.tile(self.roots, b)  # cell c: row c // n_trees, tree c % n_trees
+        at = np.repeat(np.arange(b) * X.shape[1], n_trees)
+        x = X.ravel()
+        cells = np.arange(b * n_trees)
+        nd = node
+        for step in range(1, self.depth + 1):
+            go_left = x[at + self.feature[nd]] <= self.threshold[nd]
+            nd = np.where(go_left, self.left[nd], self.right[nd])
+            if step % 8 == 0 and step < self.depth:
+                node[cells] = nd
+                inner = self.left[nd] != nd
+                cells, nd, at = cells[inner], nd[inner], at[inner]
+        node[cells] = nd
+        return node.reshape(b, n_trees)

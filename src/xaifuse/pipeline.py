@@ -528,19 +528,24 @@ def _evaluate_sets(
     test: Dataset,
     feature_sets: dict[str, list[str]],
 ) -> dict[str, dict[str, dict]]:
+    """Each judge's report per set name. Sets with the same ordered feature
+    list share one fit: the seed and overrides do not depend on the name."""
     results: dict[str, dict[str, dict]] = {}
     for family, overrides in cfg.independent_classifiers:
+        judged: dict[tuple[str, ...], dict] = {}
         per_set = {}
         for set_name, features in feature_sets.items():
-            report = evaluate_feature_subset(
-                train,
-                test,
-                features,
-                family,
-                seed=cfg.seed,
-                overrides=overrides,
-            )
-            per_set[set_name] = report.to_dict()
+            key = tuple(features)
+            if key not in judged:
+                judged[key] = evaluate_feature_subset(
+                    train,
+                    test,
+                    features,
+                    family,
+                    seed=cfg.seed,
+                    overrides=overrides,
+                ).to_dict()
+            per_set[set_name] = judged[key]
         results[family.value] = per_set
     return results
 
@@ -644,17 +649,24 @@ def render_summary_from_artifacts(out_dir: str | Path) -> str:
     else:
         lines = ["# Conformance summary", ""]
     if conf_path.exists():
-        lines += _rendered(conf_path, _conformance_lines)
+        # a run on generated or user data writes null here
+        lines += _rendered(conf_path, _conformance_lines, null_ok=True)
     else:
         lines += _conformance_lines(None)
     lines.append(reference_metrics_markdown())
     return "\n".join(lines)
 
 
-def _rendered(path: Path, render) -> list[str]:
-    """render() of the JSON document at `path`; a field it lacks is a
-    DataError that names the file and the field."""
-    doc = json.loads(path.read_text(encoding="utf-8"))
+def _rendered(path: Path, render, null_ok: bool = False) -> list[str]:
+    """render() of the JSON document at `path`. A document that is not
+    JSON, not an object (or null, where null_ok) or lacks a field is a
+    DataError that names the file."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
+    if not (isinstance(doc, dict) or (null_ok and doc is None)):
+        raise DataError(f"{path} does not hold a JSON object")
     try:
         return render(doc)
     except KeyError as exc:

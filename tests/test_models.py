@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xaifuse.models import (
     AdaBoost,
@@ -15,7 +17,7 @@ from xaifuse.models import (
     resolve_params,
     train_model,
 )
-from xaifuse.models import knn
+from xaifuse.models import knn, tree
 from xaifuse.models.ovr import ovr_targets
 from xaifuse.models.svm import _rbf
 from xaifuse.seeding import derive_seed
@@ -112,6 +114,184 @@ def ref_predict_value(node, row):
     while node.feature >= 0:
         node = node.left if row[node.feature] <= node.threshold else node.right
     return node.value
+
+
+# ---------------------------------------------------------------------------
+# the per-feature level-synchronous builder and the per-tree walk that the
+# tree kernel replaced, kept as references: the kernel must reproduce their
+# arrays and sums bit for bit, float weights and float targets included.
+# ---------------------------------------------------------------------------
+
+
+def per_feature_grow(X, y, w, regression, max_depth, min_leaf, min_split):
+    """(feature, threshold, left, right, n_samples, value) arrays of a tree
+    grown one depth level at a time with one pass per (level, feature)."""
+    n, p = X.shape
+    if regression:
+        yv = np.asarray(y, dtype=np.float64)
+        k, stat, w = 1, yv[:, None], np.ones(n)
+    else:
+        classes, yi = np.unique(y, return_inverse=True)
+        k = len(classes)
+        stat = np.zeros((n, k))
+        stat[np.arange(n), yi] = w
+    order = np.argsort(X, axis=0, kind="stable")
+    feature, threshold, left, right, n_samples, leaf_stat = [], [], [], [], [], []
+
+    def new_node():
+        for arr, v in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1)):
+            arr.append(v)
+        n_samples.append(0)
+        leaf_stat.append(None)
+        return len(feature) - 1
+
+    node_of = np.zeros(n, dtype=np.int64)
+    active = [new_node()]
+    for depth in range(max_depth + 1):
+        if not active:
+            break
+        n_active = len(active)
+        slot_arr = np.full(len(feature), -1, dtype=np.int64)
+        slot_arr[active] = np.arange(n_active)
+        slot = slot_arr[node_of]
+        ra = slot >= 0
+        tot = np.zeros((n_active, k))
+        if k > 1:
+            np.add.at(tot, (slot[ra], yi[ra]), w[ra])
+        else:
+            np.add.at(tot[:, 0], slot[ra], stat[ra, 0])
+        tw = np.zeros(n_active)
+        np.add.at(tw, slot[ra], w[ra])
+        tn = np.bincount(slot[ra], minlength=n_active)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            parent_score = np.where(tw > 0, (tot**2).sum(axis=1) / tw, 0.0)
+        if regression:
+            sq = np.zeros(n_active)
+            np.add.at(sq, slot[ra], w[ra] * yv[ra] ** 2)
+            impurity = sq - parent_score
+        else:
+            impurity = tw - parent_score
+        pure = impurity <= np.maximum(tw, 1.0) * 1e-12
+        splittable = (tn >= min_split) & (tn >= 2 * min_leaf) & ~pure & (depth < max_depth)
+        best_gain = np.full(n_active, -np.inf)
+        best_feat = np.full(n_active, -1, dtype=np.int64)
+        best_thr = np.zeros(n_active)
+        for f in range(p) if splittable.any() else ():
+            idxf = order[:, f]
+            sf = slot[idxf]
+            idxf = idxf[sf >= 0]
+            sf = sf[sf >= 0]
+            g = np.argsort(sf, kind="stable")
+            idxf, sf = idxf[g], sf[g]
+            m = len(idxf)
+            if m < 2:
+                continue
+            xv = X[idxf, f]
+            cum = np.cumsum(stat[idxf], axis=0)
+            cumw = np.cumsum(w[idxf])
+            starts = np.searchsorted(sf, np.arange(n_active), side="left")
+            start_pos = starts[sf]
+            pos_in_node = np.arange(1, m + 1) - start_pos
+            base_s = np.zeros_like(cum)
+            base_w = np.zeros(m)
+            nz = start_pos > 0
+            base_s[nz] = cum[start_pos[nz] - 1]
+            base_w[nz] = cumw[start_pos[nz] - 1]
+            left_s, left_w = cum - base_s, cumw - base_w
+            right_s, right_w = tot[sf] - left_s, tw[sf] - left_w
+            sfc = sf[:-1]
+            mid = (xv[:-1] + xv[1:]) / 2.0
+            cand = (sfc == sf[1:]) & (mid > xv[:-1]) & (mid < xv[1:]) & splittable[sfc]
+            left_n = pos_in_node[:-1]
+            cand &= (left_n >= min_leaf) & (tn[sfc] - left_n >= min_leaf)
+            if not cand.any():
+                continue
+            lw, rw = left_w[:-1], right_w[:-1]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                sl = np.where(lw > 0, (left_s[:-1] ** 2).sum(axis=1) / lw, 0.0)
+                sr = np.where(rw > 0, (right_s[:-1] ** 2).sum(axis=1) / rw, 0.0)
+            gain = np.where(cand, sl + sr - parent_score[sfc], -np.inf)
+            seg_best = np.full(n_active, -np.inf)
+            np.maximum.at(seg_best, sfc, gain)
+            pos = np.flatnonzero(np.isfinite(gain) & (gain >= seg_best[sfc]))
+            if len(pos) == 0:
+                continue
+            first = np.full(n_active, m, dtype=np.int64)
+            np.minimum.at(first, sf[pos], pos)
+            found = np.flatnonzero(first < m)
+            improved = found[seg_best[found] > best_gain[found]]
+            best_gain[improved] = seg_best[improved]
+            best_feat[improved] = f
+            best_thr[improved] = mid[first[improved]]
+        accept = (best_feat >= 0) & (best_gain >= -np.maximum(tw, 1.0) * 1e-12)
+        next_active = []
+        lc = np.full(n_active, -1, dtype=np.int64)
+        rc = np.full(n_active, -1, dtype=np.int64)
+        for s_idx in range(n_active):
+            node = active[s_idx]
+            n_samples[node] = int(tn[s_idx])
+            if accept[s_idx]:
+                feature[node] = int(best_feat[s_idx])
+                threshold[node] = float(best_thr[s_idx])
+                a, b = new_node(), new_node()
+                left[node], right[node] = a, b
+                lc[s_idx], rc[s_idx] = a, b
+                next_active.extend((a, b))
+            elif tw[s_idx] > 0:
+                leaf_stat[node] = tot[s_idx] / tw[s_idx]
+            else:
+                cnt = np.bincount(yi[ra & (slot == s_idx)], minlength=k).astype(float)
+                leaf_stat[node] = cnt / max(cnt.sum(), 1.0)
+        if next_active:
+            rows = np.flatnonzero(ra & accept[np.maximum(slot, 0)])
+            srows = slot[rows]
+            go_left = X[rows, best_feat[srows]] <= best_thr[srows]
+            node_of[rows] = np.where(go_left, lc[srows], rc[srows])
+        active = next_active
+    value = np.zeros((len(feature), k))
+    for i, dist in enumerate(leaf_stat):
+        if dist is not None:
+            value[i] = dist
+    return (
+        np.array(feature, dtype=np.int64),
+        np.array(threshold, dtype=np.float64),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(n_samples, dtype=np.int64),
+        value,
+    )
+
+
+def per_tree_apply(tree, X):
+    """Leaf id per row, walking one tree and only its unfinished rows."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        f = tree.feature_[node]
+        rows = np.flatnonzero(f >= 0)
+        if len(rows) == 0:
+            return node
+        go_left = X[rows, f[rows]] <= tree.threshold_[node[rows]]
+        node[rows] = np.where(
+            go_left, tree.children_left_[node[rows]], tree.children_right_[node[rows]]
+        )
+
+
+def tree_arrays(tree):
+    return (
+        tree.feature_,
+        tree.threshold_,
+        tree.children_left_,
+        tree.children_right_,
+        tree.n_node_samples_,
+        tree.value_,
+    )
+
+
+def assert_bitwise_equal(got, want):
+    for g, e in zip(got, want, strict=True):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        np.testing.assert_array_equal(g, e)
+        np.testing.assert_array_equal(np.signbit(g), np.signbit(e))
 
 
 class TestDecisionTreeAgainstReference:
@@ -249,6 +429,169 @@ class TestRandomForest:
         np.testing.assert_allclose(proba.sum(axis=1), 1.0)
 
 
+def kernel_case(seed, values, weights, n_classes):
+    """Rows, labels, weights and float targets of one random tree case."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    p = int(rng.integers(1, 6))
+    if values == "grid":  # many duplicate values
+        X = rng.integers(0, 4, size=(n, p)).astype(float)
+    else:
+        X = rng.normal(size=(n, p))
+    X[:, rng.random(p) < 0.3] = 1.5  # constant columns
+    y = rng.integers(0, n_classes, n)
+    w = {
+        "none": None,
+        "ints": rng.integers(1, 4, n).astype(float),
+        "floats": rng.random(n) * 2.0,
+        "one_over_n": np.full(n, 1.0 / n),
+        "some_zero": np.where(rng.random(n) < 0.3, 0.0, rng.random(n)),
+    }[weights]
+    target = rng.normal(size=n) * 3.0
+    target[rng.random(n) < 0.3] = 0.25  # repeated targets
+    return X, y, w, target
+
+
+class TestTreeKernelAgainstPerFeatureBuilder:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        values=st.sampled_from(["grid", "normal"]),
+        weights=st.sampled_from(["none", "ints", "floats", "one_over_n", "some_zero"]),
+        n_classes=st.integers(1, 4),
+        max_depth=st.integers(0, 8),
+        min_leaf=st.integers(1, 4),
+        min_split=st.integers(2, 5),
+    )
+    def test_classification_tree_is_bitwise_equal(
+        self, seed, values, weights, n_classes, max_depth, min_leaf, min_split
+    ):
+        X, y, w, _ = kernel_case(seed, values, weights, n_classes)
+        model = DecisionTree(max_depth, min_leaf, min_split).fit(X, y, sample_weight=w)
+        weight = np.ones(len(y)) if w is None else w
+        want = per_feature_grow(X, y, weight, False, max_depth, min_leaf, min_split)
+        assert_bitwise_equal(tree_arrays(model), want)
+        np.testing.assert_array_equal(model.apply(X), per_tree_apply(model, X))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        values=st.sampled_from(["grid", "normal"]),
+        max_depth=st.integers(0, 8),
+        min_leaf=st.integers(1, 4),
+    )
+    def test_regression_tree_is_bitwise_equal(self, seed, values, max_depth, min_leaf):
+        X, _, _, target = kernel_case(seed, values, "none", 1)
+        model = DecisionTree(max_depth, min_leaf).fit_regression(X, target)
+        want = per_feature_grow(X, target, None, True, max_depth, min_leaf, 2)
+        assert_bitwise_equal(tree_arrays(model), want)
+        grid = X + np.random.default_rng(seed).normal(scale=0.5, size=X.shape)
+        np.testing.assert_array_equal(model.apply(grid), per_tree_apply(model, grid))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_prefix_sums_run_over_every_active_row(self, seed):
+        # small nodes whose features all give one partition tie up to
+        # rounding, so the rows that enter the prefix sums (those of nodes
+        # that cannot split included) decide which feature wins
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(60, 200))
+        X = rng.normal(size=(n, 3))
+        target = rng.random(n) - 0.5
+        model = DecisionTree(max_depth=8).fit_regression(X, target)
+        assert_bitwise_equal(
+            tree_arrays(model), per_feature_grow(X, target, None, True, 8, 1, 2)
+        )
+        y = (target > 0).astype(int)
+        w = rng.random(n)
+        w /= w.sum()
+        model = DecisionTree(max_depth=8).fit(X, y, sample_weight=w)
+        assert_bitwise_equal(tree_arrays(model), per_feature_grow(X, y, w, False, 8, 1, 2))
+
+    def test_a_leaf_reached_only_by_zero_weight_rows_answers_by_count(self):
+        # every split of this weighted XOR gains 0, so the first candidate
+        # wins and isolates the zero-weight row
+        X = np.array([[-1.0, 0.0], [0, 0], [0, 1], [1, 0], [1, 1]])
+        y = np.array([1, 0, 1, 1, 0])
+        w = np.array([0.0, 1, 1, 1, 1])
+        model = DecisionTree(max_depth=3).fit(X, y, sample_weight=w)
+        assert_bitwise_equal(
+            tree_arrays(model), per_feature_grow(X, y, w, False, 3, 1, 2)
+        )
+        leaf = model.apply(X[:1])[0]
+        assert model.n_node_samples_[leaf] == 1
+        np.testing.assert_array_equal(model.value_[leaf], [0.0, 1.0])
+
+    def test_all_features_constant_gives_one_leaf(self):
+        X = np.full((6, 3), 2.0)
+        y = np.array([0, 1, 0, 1, 1, 1])
+        model = DecisionTree().fit(X, y)
+        want = per_feature_grow(X, y, np.ones(6), False, 50, 1, 2)
+        assert_bitwise_equal(tree_arrays(model), want)
+        assert model.node_count == 1
+
+
+class TestStackedWalk:
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_forest_whose_bootstrap_misses_a_class(self, n_classes):
+        rng = np.random.default_rng(40 + n_classes)
+        X = rng.normal(size=(40, 3))
+        y = rng.integers(1, n_classes, 40)
+        y[0] = 0  # a single row of the first class
+        forest = RandomForest(n_estimators=8, seed=3).fit(X, y)
+        assert any(len(t.classes_) < n_classes for t in forest.trees_)
+        grid = np.vstack([X, rng.normal(size=(30, 3))])
+        want = np.zeros((len(grid), n_classes))
+        for t in forest.trees_:
+            cols = np.searchsorted(forest.classes_, t.classes_)
+            want[:, cols] += t.value_[per_tree_apply(t, grid)]
+        want /= len(forest.trees_)
+        np.testing.assert_array_equal(forest.predict_proba(grid), want)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_adaboost_votes(self, n_classes):
+        rng = np.random.default_rng(50 + n_classes)
+        X = rng.normal(size=(80, 3))
+        y = rng.integers(0, n_classes, 80)
+        model = AdaBoost(n_estimators=12, base_max_depth=2).fit(X, y)
+        assert len(model.trees_) > 1
+        k = float(n_classes)
+        want = np.zeros((len(X), n_classes))
+        for t in model.trees_:
+            log_p = np.log(np.maximum(t.value_[per_tree_apply(t, X)], 1e-10))
+            want += (k - 1.0) * (log_p - log_p.mean(axis=1, keepdims=True))
+        np.testing.assert_array_equal(model.decision_function(X), want / len(model.trees_))
+
+    def test_gradient_boosting_raw_scores(self):
+        rng = np.random.default_rng(60)
+        X = rng.normal(size=(70, 3))
+        y = rng.integers(0, 3, 70)
+        model = GradientBoosting(n_estimators=6, learning_rate=0.3, max_depth=3).fit(X, y)
+        for booster in model._boosters:
+            want = np.full(len(X), booster.prior_)
+            for t in booster.trees_:
+                want += booster.learning_rate * t.value_[per_tree_apply(t, X), 0]
+            np.testing.assert_array_equal(booster.raw_score(X), want)
+
+    def test_row_blocks_do_not_change_the_sums(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        X = rng.normal(size=(90, 4))
+        y = rng.integers(0, 3, 90)
+        forest = RandomForest(n_estimators=5, seed=1).fit(X, y)
+        whole = forest.predict_proba(X)
+        leaves = forest._stack.apply(X)
+        monkeypatch.setattr(tree, "CELL_BUDGET", 7)
+        np.testing.assert_array_equal(forest.predict_proba(X), whole)
+        np.testing.assert_array_equal(forest._stack.apply(X), leaves)
+
+    def test_deep_tree_walk(self):
+        # a chain one split per level, deeper than the walk's compaction period
+        X = np.arange(40, dtype=float)[:, None]
+        y = np.arange(40) % 2
+        model = DecisionTree().fit(X, y)
+        grid = np.linspace(-1, 41, 200)[:, None]
+        np.testing.assert_array_equal(model.apply(grid), per_tree_apply(model, grid))
+
+
 class TestKnn:
     def test_k1_memorizes(self):
         rng = np.random.default_rng(11)
@@ -279,6 +622,16 @@ class TestKnn:
         whole = model.predict_proba(q)
         monkeypatch.setattr(knn, "CHUNK_SIZE", 7)
         np.testing.assert_array_equal(model.predict_proba(q), whole)
+
+    def test_distances_match_plain_expression(self):
+        rng = np.random.default_rng(37)
+        a = rng.normal(size=(37, 4))
+        b = rng.normal(size=(23, 4))
+        for q, x in ((a, b), (a, a), (a * 1e3, b)):
+            sq = (x**2).sum(axis=1)
+            want = (q**2).sum(axis=1)[:, None] - 2.0 * q @ x.T + sq
+            np.maximum(want, 0.0, out=want)
+            np.testing.assert_array_equal(knn._sq_distances(q, x, sq), want)
 
     def test_minkowski_p1(self):
         X = np.array([[0.0, 0.0], [2.0, 0.0], [0.9, 0.9]])

@@ -492,6 +492,39 @@ class TestRunPipeline:
         assert "| Metric | all_features | shap | permutation | leveled |" in written
 
 
+def test_judges_fit_each_ordered_feature_list_once(monkeypatch):
+    import xaifuse.pipeline as P
+
+    calls = []
+
+    class Report:
+        def __init__(self, features):
+            self.features = list(features)
+
+        def to_dict(self):
+            return {"features": self.features}
+
+    def judge(train, test, features, family, seed, overrides):
+        calls.append((family, tuple(features)))
+        return Report(features)
+
+    monkeypatch.setattr(P, "evaluate_feature_subset", judge)
+    cfg = parse_config(
+        {
+            "seed": 1,
+            "source": {"kind": "synthetic_sensor"},
+            "independent_classifiers": ["logistic_regression", "gbdt_lgbm_like"],
+        }
+    )
+    sets = {"all": ["A", "B", "C"], "shap": ["B", "A"], "lime": ["B", "A"], "leveled": ["A", "B"]}
+    results = P._evaluate_sets(cfg, None, None, sets)
+    # the same features in another order are judged apart
+    assert len(calls) == len(set(calls)) == 2 * 3
+    for per_set in results.values():
+        assert list(per_set) == list(sets)
+        assert {name: r["features"] for name, r in per_set.items()} == sets
+
+
 class TestFixtureConformanceRunner:
     def test_direct_call(self, tmp_path):
         manifest, report = run_fixture_conformance(tmp_path)
@@ -660,6 +693,19 @@ class TestCli:
         assert main(["report", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "conformance.json lacks the field 'required'" in err
+
+    @pytest.mark.parametrize("name", ["metrics.json", "conformance.json"])
+    def test_report_on_a_document_that_is_not_json_exits_3(self, tmp_path, capsys, name):
+        (tmp_path / name).write_text("{not json")
+        assert main(["report", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{name} is not valid JSON" in err
+
+    @pytest.mark.parametrize("name", ["metrics.json", "conformance.json"])
+    def test_report_on_a_document_that_is_not_an_object_exits_3(self, tmp_path, capsys, name):
+        (tmp_path / name).write_text("[1]")
+        assert main(["report", "--out", str(tmp_path)]) == 3
+        assert f"{name} does not hold a JSON object" in capsys.readouterr().err
 
     def test_report_on_metrics_without_run_facts_exits_3(self, tmp_path, capsys):
         (tmp_path / "metrics.json").write_text(
