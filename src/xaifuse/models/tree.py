@@ -75,6 +75,8 @@ def _best_splits(xt, order, seg, stat, w, tot, tw, tn, parent_score, splittable,
     best_gain = np.full(n_active, -np.inf)
     best_feat = np.full(n_active, -1, dtype=np.int64)
     best_thr = np.zeros(n_active)
+    if not splittable.any():
+        return best_gain, best_feat, best_thr
     n_feat, m = order.shape
     start = np.cumsum(tn) - tn
     s0 = seg[:-1]
@@ -281,7 +283,10 @@ class DecisionTree:
             go_right[rows] = ~(xt[best_feat[s_rows], rows] <= best_thr[s_rows])
             slot[rows] = 2 * rank[s_rows] + go_right[rows]
             counts = np.bincount(slot[rows], minlength=2 * int(accept.sum()))
-            order = _child_order(order[:, accept[seg]], go_right, counts[0::2], counts[1::2])
+            if depth + 1 < self.max_depth:  # no node of the last level splits
+                order = _child_order(
+                    order[:, accept[seg]], go_right, counts[0::2], counts[1::2]
+                )
             act = rows
             first_id += n_active
             n_active = len(counts)
