@@ -7,9 +7,11 @@ For each benchmark workload and seed, writes the inputs with
 is), then runs `xaifuse run` on them twice in fresh one-BLAS-thread
 interpreters: once with the package under this checkout's `src/`, once with
 the revision's, which is checked out with `git worktree` into a temporary
-directory and removed afterwards. Every file of the two output directories
-is compared byte for byte, except that `manifest.json` is compared with
-each `seconds` field zeroed.
+directory and removed afterwards. The other entry points run once on each
+side: `xaifuse conformance`, `xaifuse fuse` on the side's three shipped
+`sensor_*` rank tables and `xaifuse generate --n 300 --seed 3`. Every file
+of the two output directories is compared byte for byte, except that each
+`manifest.json` is compared with each `seconds` field zeroed.
 
 Prints one line per differing file and a final count. Exits 0 whether or
 not files differ, so a change that is meant to move numbers still passes;
@@ -48,15 +50,34 @@ def _zero_seconds(doc):
     return doc
 
 
+def _xaifuse(src: Path, work: Path, *args: str, ok: tuple[int, ...] = (0,)) -> None:
+    """One `xaifuse` command with the package under `src`, run in `work`;
+    an exit code outside `ok` raises CalledProcessError."""
+    env = {**os.environ, **THREAD_ENV, "PYTHONPATH": str(src)}
+    cmd = [sys.executable, "-m", "xaifuse.cli", *args]
+    code = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL).returncode
+    if code not in ok:
+        raise subprocess.CalledProcessError(code, cmd)
+
+
 def _run(src: Path, workload: str, seed: int, work: Path) -> Path:
     """The output directory of one `xaifuse run` of the workload."""
     inputs.prepare(workload, seed, work)
-    env = {**os.environ, **THREAD_ENV, "PYTHONPATH": str(src)}
-    subprocess.run(
-        [sys.executable, "-m", "xaifuse.cli", "run", "--config", "config.json", "--out", "out"],
-        cwd=work, env=env, check=True, stdout=subprocess.DEVNULL,
-    )
+    _xaifuse(src, work, "run", "--config", "config.json", "--out", "out")
     return work / "out"
+
+
+def _entry_points(src: Path, work: Path) -> Path:
+    """The output directory of the conformance, fuse and generate commands."""
+    out = work / "out"
+    out.mkdir(parents=True)
+    shipped = src / "xaifuse" / "fixtures"
+    tables = [str(shipped / f"sensor_{m}.csv") for m in ("shap", "lime", "dalex")]
+    # exit 1 is a failed check, which a change may cause on purpose
+    _xaifuse(src, work, "conformance", "--out", "out/conformance", ok=(0, 1))
+    _xaifuse(src, work, "fuse", *tables, "--out", "out/fuse")
+    _xaifuse(src, work, "generate", "--n", "300", "--seed", "3", "--out", "out/generate.csv")
+    return out
 
 
 def differing_files(a: Path, b: Path) -> list[str]:
@@ -70,7 +91,7 @@ def differing_files(a: Path, b: Path) -> list[str]:
         pa, pb = a / name, b / name
         if not (pa.is_file() and pb.is_file()):
             differ.append(f"{name} (only in {'revision' if pa.is_file() else 'checkout'})")
-        elif name == "manifest.json":
+        elif Path(name).name == "manifest.json":
             docs = [_zero_seconds(json.loads(p.read_text(encoding="utf-8"))) for p in (pa, pb)]
             if docs[0] != docs[1]:
                 differ.append(name)
@@ -103,6 +124,14 @@ def main(argv=None) -> int:
                     for name in differ:
                         print(f"{workload} seed {seed}: {name}")
                     print(f"{workload} seed {seed}: {len(differ)} differing files", flush=True)
+            case = Path(tmp) / "entry-points"
+            theirs = _entry_points(tree / "src", case / "revision")
+            ours = _entry_points(ROOT / "src", case / "checkout")
+            differ = differing_files(theirs, ours)
+            total += len(differ)
+            for name in differ:
+                print(f"entry points: {name}")
+            print(f"entry points: {len(differ)} differing files", flush=True)
         finally:
             _git("worktree", "remove", "--force", str(tree))
     print(f"{total} differing files against {args.rev}")

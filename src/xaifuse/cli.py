@@ -89,7 +89,10 @@ def _cmd_fuse(args) -> int:
     given = {"mode": args.mode, "top_k": args.top_k}
     if args.points is not None:
         given["points"] = _parse_points(args.points)
-    spec = FusionSpec(**{k: v for k, v in given.items() if v is not None})
+    try:
+        spec = FusionSpec(**{k: v for k, v in given.items() if v is not None})
+    except FusionError as exc:
+        raise ConfigError(f"bad fusion flags: {exc}") from None
     tables = {Path(p).stem: read_rank_table(p) for p in args.tables}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

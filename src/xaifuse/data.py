@@ -150,7 +150,10 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
     """Load a comma-separated export whose header matches the schema.
 
     Header order does not matter; columns are reordered to schema order.
-    Empty or non-numeric cells become NaN sentinels for `clean` to remove.
+    A header that repeats a name, or a record with more cells than the
+    header, is refused. Empty or non-numeric cells, and the cells a short
+    record lacks, become NaN sentinels for `clean` to remove; so does every
+    cell of a row whose label is not an integral number within int64.
     """
     path = Path(path)
     if not path.exists():
@@ -162,6 +165,9 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise DataError(f"header of {path} repeats the columns {repeated}")
         expected = set(schema.feature_names) | {schema.label_column}
         if set(header) != expected:
             missing = sorted(expected - set(header))
@@ -172,12 +178,18 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
         col_of = {name: i for i, name in enumerate(header)}
         feat_cols = [col_of[name] for name in schema.feature_names]
         label_col = col_of[schema.label_column]
+        width = len(header)
 
         rows: list[list[float]] = []
-        labels: list[int] = []
+        labels: list[float] = []
         for record in reader:
             if not record:
                 continue
+            if len(record) > width:
+                raise DataError(
+                    f"line {reader.line_num} of {path} has {len(record)} cells, "
+                    f"the header {width}: {record}"
+                )
             row = []
             for c in feat_cols:
                 cell = record[c].strip() if c < len(record) else ""
@@ -187,16 +199,19 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
                     row.append(np.nan)
             cell = record[label_col].strip() if label_col < len(record) else ""
             try:
-                label = int(float(cell))
+                labels.append(float(cell))
             except ValueError:
-                # Unreadable label marks the whole row for removal.
-                label = 0
-                row = [np.nan] * len(feat_cols)
+                labels.append(np.nan)
             rows.append(row)
-            labels.append(label)
     if not rows:
         raise DataError(f"no data rows in {path}")
-    return Dataset(schema, np.asarray(rows, dtype=np.float64), np.asarray(labels))
+    # checked once for all rows, off the per-record loop: a label that is not
+    # an integral number within int64 marks the whole row for removal
+    raw = np.asarray(labels)
+    unreadable = ~((raw == np.floor(raw)) & (raw >= -(2.0**63)) & (raw < 2.0**63))
+    x = np.asarray(rows, dtype=np.float64)
+    x[unreadable] = np.nan
+    return Dataset(schema, x, np.where(unreadable, 0.0, raw).astype(np.int64))
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:
@@ -302,25 +317,6 @@ def split_and_scale(
         dataset.schema, scaler.transform(dataset.rows[test_rows]), dataset.labels[test_rows]
     )
     return train, test, scaler
-
-
-def sensor_range_violations(rows: np.ndarray) -> np.ndarray:
-    """Count, per row, how many of the ten sensor checks fail.
-
-    Continuous sensors fail outside [lower, upper]; binary sensors fail
-    when the reported check value is not 1.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    violations = np.zeros(rows.shape[0], dtype=np.int64)
-    for j, name in enumerate(SENSOR_FEATURES):
-        bounds = SENSOR_RANGES[name]
-        col = rows[:, j]
-        if bounds is None:
-            violations += (col != 1.0).astype(np.int64)
-        else:
-            lo, hi = bounds
-            violations += ((col < lo) | (col > hi)).astype(np.int64)
-    return violations
 
 
 def generate_sensor_dataset(

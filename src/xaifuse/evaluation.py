@@ -189,11 +189,10 @@ def evaluate_feature_subset(
     family: ModelFamily | str,
     seed: int = 0,
     overrides: Mapping | None = None,
-    convention: str | None = None,
-    positive_class: int | None = None,
 ) -> MetricsReport:
     """Train one classifier on the named feature columns only and score it
-    on the test split.  Deterministic per seed."""
+    on the test split: positive class 1 when the roster is {0, 1}, macro
+    averages otherwise.  Deterministic per seed."""
     if not features:
         raise EvaluationError("feature list must not be empty")
     tr = train.project(tuple(features))
@@ -202,12 +201,9 @@ def evaluate_feature_subset(
     y_pred = model.predict(te.rows)
     roster = np.union1d(train.labels, test.labels)
     cm = confusion_matrix(te.labels, y_pred, roster=roster)
-    if convention is None:
-        if set(cm.roster) == {0, 1}:
-            convention, positive_class = "positive_class", 1
-        else:
-            convention = "macro"
-    return classification_metrics(cm, convention, positive_class)
+    if set(cm.roster) == {0, 1}:
+        return classification_metrics(cm, "positive_class", 1)
+    return classification_metrics(cm, "macro")
 
 
 # -- conformance harness -----------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ovr import ovr_proba, ovr_targets, sigmoid, softmax
+from .ovr import ProbaClassifier, ovr_proba, ovr_targets, sigmoid, softmax
 from .tree import DecisionTree, TreeStack, _end_to_end, _presort
 
 _PROBA_FLOOR = 1e-10
@@ -117,7 +117,7 @@ class _BinaryBooster:
             num = np.bincount(leaves, weights=residual, minlength=tree.node_count)
             den = np.bincount(leaves, weights=p * (1.0 - p), minlength=tree.node_count)
             newton = num[uniq] / np.maximum(den[uniq], 1e-12)
-            tree.set_leaf_values(uniq, newton)
+            tree.value_[uniq, 0] = newton
             self.trees_.append(tree)
             f += self.learning_rate * tree.value_[leaves, 0]
         self._stack = TreeStack(self.trees_)
@@ -130,7 +130,7 @@ class _BinaryBooster:
         return self._stack.tree_sum(X, self._steps, np.full(X.shape[0], self.prior_))
 
 
-class GradientBoosting:
+class GradientBoosting(ProbaClassifier):
     def __init__(
         self,
         n_estimators: int = 100,
@@ -163,6 +163,3 @@ class GradientBoosting:
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         return ovr_proba(np.column_stack([b.raw_score(X) for b in self._boosters]))
-
-    def predict(self, X) -> np.ndarray:
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

@@ -11,10 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..seeding import rng_for
+from .ovr import ProbaClassifier
 from .tree import DecisionTree, TreeStack
 
 
-class RandomForest:
+class RandomForest(ProbaClassifier):
     def __init__(
         self,
         n_estimators: int = 100,
@@ -63,6 +64,3 @@ class RandomForest:
         X = np.asarray(X, dtype=np.float64)
         out = np.zeros((X.shape[0], len(self.classes_)))
         return self._stack.tree_sum(X, self._values, out) / len(self.trees_)
-
-    def predict(self, X) -> np.ndarray:
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

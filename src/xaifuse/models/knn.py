@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ovr import ProbaClassifier
+
 # query rows per distance block; bounds the block at CHUNK_SIZE x n_train
 CHUNK_SIZE = 1024
 
@@ -22,7 +24,7 @@ def _sq_distances(q: np.ndarray, x: np.ndarray, sq_x: np.ndarray) -> np.ndarray:
     return d
 
 
-class KnnClassifier:
+class KnnClassifier(ProbaClassifier):
     """Majority vote over the k closest training rows (minkowski metric).
 
     Votes are unweighted; probability output is the vote fraction per
@@ -73,6 +75,3 @@ class KnnClassifier:
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         return self._neighbor_votes(X) / self.n_neighbors
-
-    def predict(self, X) -> np.ndarray:
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

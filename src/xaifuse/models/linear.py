@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ovr import ovr_proba, ovr_targets, sigmoid
+from .ovr import ProbaClassifier, ovr_proba, ovr_targets, sigmoid
 
 # Newton iterations stop once no coefficient moves by more than this
 TOL = 1e-8
 
 
-class LogisticRegression:
+class LogisticRegression(ProbaClassifier):
     def __init__(
         self,
         c: float = 1.0,
@@ -75,14 +75,6 @@ class LogisticRegression:
                 break
         return beta
 
-    def decision_function(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        scores = X @ self.coef_.T + self.intercept_
-        return scores[:, 0] if scores.shape[1] == 1 else scores
-
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         return ovr_proba(X @ self.coef_.T + self.intercept_)
-
-    def predict(self, X) -> np.ndarray:
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..seeding import rng_for
-from .ovr import ovr_proba, sigmoid, softmax
+from .ovr import ProbaClassifier, ovr_proba, sigmoid, softmax
 
 
-class MlpClassifier:
+class MlpClassifier(ProbaClassifier):
     def __init__(
         self,
         hidden_units: int = 16,
@@ -156,6 +156,3 @@ class MlpClassifier:
         h = np.maximum(X @ w1 + b1, 0.0)
         z = h @ w2 + b2
         return ovr_proba(z) if self._binary else softmax(z)
-
-    def predict(self, X) -> np.ndarray:
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

@@ -1,5 +1,5 @@
-"""The logistic sigmoid, the softmax and the one-vs-rest rule shared by the
-scorer families.
+"""The logistic sigmoid, the softmax, the one-vs-rest rule and the argmax
+prediction shared by the classifier families.
 
 A binary problem gets one scorer whose positive class is the higher label;
 a multiclass problem gets one scorer per class. Each scorer's raw score goes
@@ -40,3 +40,11 @@ def ovr_proba(scores: np.ndarray) -> np.ndarray:
     total = probs.sum(axis=1, keepdims=True)
     total[total == 0] = 1.0
     return probs / total
+
+
+class ProbaClassifier:
+    """Predicts each row's most probable class; a subclass sets `classes_`
+    and defines `predict_proba`."""
+
+    def predict(self, X) -> np.ndarray:
+        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ovr import ovr_proba, ovr_targets, sigmoid
+from .ovr import ProbaClassifier, ovr_proba, ovr_targets, sigmoid
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, gamma: float, dtype=np.float64) -> np.ndarray:
@@ -145,7 +145,7 @@ class _BinarySvm:
         return self.platt_a_ * self.decision_function(X) + self.platt_b_
 
 
-class SvmRbf:
+class SvmRbf(ProbaClassifier):
     def __init__(
         self,
         c: float = 1.0,
@@ -179,14 +179,6 @@ class SvmRbf:
         ]
         return self
 
-    def decision_function(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        scores = np.column_stack([m.decision_function(X) for m in self._machines])
-        return scores[:, 0] if len(self.classes_) == 2 else scores
-
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         return ovr_proba(np.column_stack([m.platt_score(X) for m in self._machines]))
-
-    def predict(self, X) -> np.ndarray:
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

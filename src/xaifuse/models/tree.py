@@ -317,12 +317,6 @@ class DecisionTree:
             return self.value_[leaf, 0]
         return self.classes_[np.argmax(self.value_[leaf], axis=1)]
 
-    def set_leaf_values(self, leaf_ids: np.ndarray, values: np.ndarray) -> None:
-        """Overwrite regression outputs at the given leaves (boosting hook)."""
-        if self.classes_ is not None:
-            raise ValueError("leaf override only applies to regression trees")
-        self.value_[leaf_ids, 0] = values
-
     @property
     def node_count(self) -> int:
         return len(self.feature_)

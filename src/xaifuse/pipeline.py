@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from hashlib import sha256
 from pathlib import Path
 from types import UnionType
@@ -98,7 +98,7 @@ _SENSOR = {"kind": "synthetic_sensor"}
 
 @dataclass(frozen=True)
 class SourceSpec:
-    kind: str  # csv | synthetic_sensor | fixtures
+    kind: str  # csv | synthetic_sensor
     path: str | None = field(default=None, metadata=_CSV)
     schema: str | None = field(default=None, metadata=_CSV)
     features: tuple[str, ...] | None = field(default=None, metadata=_CSV)
@@ -108,7 +108,7 @@ class SourceSpec:
     violable_features: tuple[str, ...] | None = field(default=None, metadata=_SENSOR)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("csv", "synthetic_sensor", "fixtures"):
+        if self.kind not in ("csv", "synthetic_sensor"):
             raise ConfigError(f"unknown source kind: {self.kind!r}")
         if self.kind == "csv":
             if not self.path:
@@ -137,16 +137,14 @@ class SourceSpec:
             if unknown:
                 raise ConfigError(f"unknown violable_features: {sorted(unknown)}")
 
-    def feature_schema(self) -> FeatureSchema | None:
-        """The schema of the source's rows, or None for the fixtures. Both the
-        parse-time top_k check and the load take it from here."""
+    def feature_schema(self) -> FeatureSchema:
+        """The schema of the source's rows. Both the parse-time top_k check
+        and the load take it from here."""
         if self.kind == "synthetic_sensor":
             return SENSOR_SCHEMA
         if self.schema is not None:
             return _SCHEMAS[self.schema]
-        if self.features is not None:
-            return FeatureSchema(self.features, self.label_column)
-        return None
+        return FeatureSchema(self.features, self.label_column)
 
 
 FamilyOverrides = tuple[tuple[ModelFamily, dict], ...]
@@ -188,9 +186,11 @@ def _explainer_overrides(raw: Any, what: str) -> dict:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """A validated run config. `models`, `independent_classifiers` and
-    `explainers` keep what the config wrote, as the hash covers only that;
-    `explainer` and `sampler` are resolved from the fields."""
+    """A validated config of a run on generated or CSV data; the shipped
+    rank tables are judged by `run_fixture_conformance`, which takes no
+    config. `models`, `independent_classifiers` and `explainers` keep what
+    the config wrote, as the hash covers only that; `explainer` and
+    `sampler` are resolved from the fields."""
 
     seed: int
     source: SourceSpec
@@ -224,13 +224,12 @@ class PipelineConfig:
             {"seed": self.seed, "train_fraction": self.train_fraction},
         )
         object.__setattr__(self, "sampler", sampler)
-        if self.source.kind != "fixtures":
-            if not self.models:
-                raise ConfigError("at least one model must be enabled")
-            if not explainer.methods:
-                raise ConfigError("explainer methods must not be empty")
+        if not self.models:
+            raise ConfigError("at least one model must be enabled")
+        if not explainer.methods:
+            raise ConfigError("explainer methods must not be empty")
         schema = self.source.feature_schema()
-        if schema is not None and self.fusion.top_k > schema.feature_count:
+        if self.fusion.top_k > schema.feature_count:
             raise ConfigError(
                 f"fusion top_k={self.fusion.top_k} exceeds the "
                 f"{schema.feature_count} available features"
@@ -684,9 +683,10 @@ def _conformance_lines(doc: dict | None) -> list[str]:
     return [conformance_markdown(doc)]
 
 
-def run_fixture_conformance(out_dir: str | Path, spec: FusionSpec | None = None):
-    """Fuse the shipped rank tables and judge them against the reference
-    columns; no training involved."""
+def run_fixture_conformance(out_dir: str | Path):
+    """Fuse the shipped rank tables with the default fusion settings and each
+    dataset's reference top_k, and judge them against the reference columns;
+    no training involved."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     clock = _StageClock()
@@ -694,9 +694,8 @@ def run_fixture_conformance(out_dir: str | Path, spec: FusionSpec | None = None)
     def fuse_all():
         computed = {}
         for dataset in DATASETS:
-            tables = load_rank_fixtures(dataset)
-            ds_spec = replace(spec or FusionSpec(), top_k=REFERENCE_TOP_K[dataset])
-            computed[dataset] = two_level_fuse(tables, ds_spec)
+            spec = FusionSpec(top_k=REFERENCE_TOP_K[dataset])
+            computed[dataset] = two_level_fuse(load_rank_fixtures(dataset), spec)
         return computed
 
     computed = clock.run("fuse", fuse_all)
@@ -716,11 +715,6 @@ def run_fixture_conformance(out_dir: str | Path, spec: FusionSpec | None = None)
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunManifest:
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    if cfg.source.kind == "fixtures":
-        manifest, _ = run_fixture_conformance(out, cfg.fusion)
-        return manifest
-
     clock = _StageClock()
     dataset = clock.run("load", lambda: _load_source(cfg))
     dataset = clock.run("clean", lambda: clean(dataset))

@@ -17,7 +17,6 @@ from xaifuse.data import (
     load_csv,
     map_labels,
     save_csv,
-    sensor_range_violations,
     split_and_scale,
     undersample,
 )
@@ -25,6 +24,25 @@ from xaifuse.data import (
 
 def tiny_schema(p=3):
     return FeatureSchema(tuple(f"f{i}" for i in range(p)))
+
+
+def sensor_range_violations(rows: np.ndarray) -> np.ndarray:
+    """Count, per row, how many of the ten sensor checks fail.
+
+    Continuous sensors fail outside [lower, upper]; binary sensors fail
+    when the reported check value is not 1.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    violations = np.zeros(rows.shape[0], dtype=np.int64)
+    for j, name in enumerate(SENSOR_FEATURES):
+        bounds = SENSOR_RANGES[name]
+        col = rows[:, j]
+        if bounds is None:
+            violations += (col != 1.0).astype(np.int64)
+        else:
+            lo, hi = bounds
+            violations += ((col < lo) | (col > hi)).astype(np.int64)
+    return violations
 
 
 def test_schema_rejects_duplicates_and_label_clash():
@@ -69,6 +87,37 @@ class TestLoadCsv:
         path.write_text("f0,wrong,label\n1.0,2.0,0\n")
         with pytest.raises(DataError, match="header mismatch"):
             load_csv(path, tiny_schema(2))
+
+    def test_repeated_header_name_raises(self, tmp_path):
+        # the set of names matches the schema, but `a` names two columns
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,a,label\n1,2,3,0\n4,5,6,1\n")
+        with pytest.raises(DataError, match=r"repeats the columns \['a'\]"):
+            load_csv(path, FeatureSchema(("a", "b"), "label"))
+
+    def test_long_record_raises(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,label\n1,2,0\n7,8,1,99\n")
+        with pytest.raises(DataError, match="line 3 .* 4 cells, the header 3"):
+            load_csv(path, FeatureSchema(("a", "b"), "label"))
+
+    def test_short_record_becomes_nan(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,label\n1,2,0\n7\n")
+        ds = load_csv(path, FeatureSchema(("a", "b"), "label"))
+        assert np.isnan(ds.rows[1]).all()
+        assert clean(ds).n_rows == 1
+
+    @pytest.mark.parametrize("label", ["1.7", "inf", "-inf", "1e30", "9.3e18"])
+    def test_non_integral_label_removes_the_row(self, tmp_path, label):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,label\n1,2,0\n3,4,{label}\n5,6,16.0\n")
+        ds = load_csv(path, FeatureSchema(("a", "b"), "label"))
+        assert np.isnan(ds.rows[1]).all()
+        kept = clean(ds)
+        np.testing.assert_array_equal(kept.rows, [[1.0, 2.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(kept.labels, [0, 16])
+        assert kept.labels.dtype == np.int64
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
