@@ -94,8 +94,8 @@ def _cmd_fuse(args) -> int:
     except FusionError as exc:
         raise ConfigError(f"bad fusion flags: {exc}") from None
     tables = {Path(p).stem: read_rank_table(p) for p in args.tables}
+    # the writers create the directory, so a fusion error leaves none behind
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if len(tables) == 1:
         name, table = next(iter(tables.items()))
         fused = fuse_ranks(table, spec)

@@ -8,6 +8,7 @@ sentinel until `clean` removes affected rows.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,32 +155,38 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
     header, is refused. Empty or non-numeric cells, and the cells a short
     record lacks, become NaN sentinels for `clean` to remove; so does every
     cell of a row whose label is not an integral number within int64.
+
+    `load_csv_by_cell` is the definition. A body of complete records of
+    plain numbers (the common case) is parsed in one `np.loadtxt` call,
+    which accepts a subset of what `float` accepts and gives equal values
+    where both accept a cell; any other body falls back to the per-cell
+    loop, which marks the NaN cells and refuses long records.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        feat_cols, label_col, width = _read_header(csv.reader(fh), path, schema)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        header = [h.strip() for h in header]
-        repeated = sorted({h for h in header if header.count(h) > 1})
-        if repeated:
-            raise DataError(f"header of {path} repeats the columns {repeated}")
-        expected = set(schema.feature_names) | {schema.label_column}
-        if set(header) != expected:
-            missing = sorted(expected - set(header))
-            extra = sorted(set(header) - expected)
-            raise DataError(
-                f"header mismatch in {path}: missing={missing} unexpected={extra}"
-            )
-        col_of = {name: i for i, name in enumerate(header)}
-        feat_cols = [col_of[name] for name in schema.feature_names]
-        label_col = col_of[schema.label_column]
-        width = len(header)
+            with warnings.catch_warnings():
+                # an empty body warns; the per-cell loop then names the file
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(
+                    fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2
+                )
+        except ValueError:
+            body = None
+    if body is None or body.shape[0] == 0 or body.shape[1] != width:
+        return load_csv_by_cell(path, schema)
+    return _labeled(schema, body[:, feat_cols], body[:, label_col])
 
+
+def load_csv_by_cell(path: str | Path, schema: FeatureSchema) -> Dataset:
+    """`load_csv` one `csv` record and one `float` per cell at a time."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        feat_cols, label_col, width = _read_header(reader, path, schema)
         rows: list[list[float]] = []
         labels: list[float] = []
         for record in reader:
@@ -205,11 +212,37 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
             rows.append(row)
     if not rows:
         raise DataError(f"no data rows in {path}")
-    # checked once for all rows, off the per-record loop: a label that is not
-    # an integral number within int64 marks the whole row for removal
-    raw = np.asarray(labels)
+    return _labeled(schema, np.asarray(rows, dtype=np.float64), np.asarray(labels))
+
+
+def _read_header(reader, path: Path, schema: FeatureSchema) -> tuple[list[int], int, int]:
+    """Check the header record; return the feature columns in schema order,
+    the label column and the header width."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"empty file: {path}") from None
+    header = [h.strip() for h in header]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise DataError(f"header of {path} repeats the columns {repeated}")
+    expected = set(schema.feature_names) | {schema.label_column}
+    if set(header) != expected:
+        missing = sorted(expected - set(header))
+        extra = sorted(set(header) - expected)
+        raise DataError(
+            f"header mismatch in {path}: missing={missing} unexpected={extra}"
+        )
+    col_of = {name: i for i, name in enumerate(header)}
+    feat_cols = [col_of[name] for name in schema.feature_names]
+    return feat_cols, col_of[schema.label_column], len(header)
+
+
+def _labeled(schema: FeatureSchema, x: np.ndarray, raw: np.ndarray) -> Dataset:
+    """Apply the label rule to freshly parsed rows, in place, once for all
+    rows: a label that is not an integral number within int64 marks the
+    whole row for removal."""
     unreadable = ~((raw == np.floor(raw)) & (raw >= -(2.0**63)) & (raw < 2.0**63))
-    x = np.asarray(rows, dtype=np.float64)
     x[unreadable] = np.nan
     return Dataset(schema, x, np.where(unreadable, 0.0, raw).astype(np.int64))
 
@@ -230,15 +263,20 @@ def clean(dataset: Dataset) -> Dataset:
     """Drop rows with missing cells, then exact duplicate (row, label) pairs.
 
     The first occurrence of each duplicate group survives and relative
-    order is preserved.
+    order is preserved. Rows compare as floats, with the label cast to
+    float64, as `np.unique(..., axis=0)` compares them; the groups are
+    found by one stable sort of each (row, label) record's bytes instead.
     """
     complete = ~np.isnan(dataset.rows).any(axis=1)
     rows = dataset.rows[complete]
     labels = dataset.labels[complete]
     if rows.shape[0] == 0:
         raise DataError("all rows removed during cleaning")
-    combined = np.column_stack([rows, labels.astype(np.float64)])
-    _, first = np.unique(combined, axis=0, return_index=True)
+    # adding 0.0 turns -0.0 into 0.0, so with NaN gone equal bytes are
+    # equal floats
+    combined = np.column_stack([rows, labels.astype(np.float64)]) + 0.0
+    records = combined.view(np.dtype((np.void, combined.itemsize * combined.shape[1])))
+    _, first = np.unique(records.ravel(), return_index=True)
     keep = np.sort(first)
     return Dataset(dataset.schema, rows[keep], labels[keep])
 

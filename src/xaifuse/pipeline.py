@@ -714,7 +714,6 @@ def run_fixture_conformance(out_dir: str | Path):
 
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunManifest:
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     clock = _StageClock()
     dataset = clock.run("load", lambda: _load_source(cfg))
     dataset = clock.run("clean", lambda: clean(dataset))
@@ -725,6 +724,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
         "split",
         lambda: split_and_scale(dataset, cfg.sampler),
     )
+    # only now, so a data error (exit 3) leaves no empty directory behind
+    out.mkdir(parents=True, exist_ok=True)
 
     models = clock.run("train", lambda: _train_all(cfg, train))
     rows, labels = _explanation_rows(cfg, train)

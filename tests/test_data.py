@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from xaifuse.data import (
     clean,
     generate_sensor_dataset,
     load_csv,
+    load_csv_by_cell,
     map_labels,
     save_csv,
     split_and_scale,
@@ -119,6 +122,23 @@ class TestLoadCsv:
         np.testing.assert_array_equal(kept.labels, [0, 16])
         assert kept.labels.dtype == np.int64
 
+    @pytest.mark.parametrize("body", ["", "\n", "\n\r\n\n", "\r\n\r\n"])
+    def test_no_data_rows_raises_without_a_warning(self, tmp_path, body):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,label" + body, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no data rows in "):
+                load_csv(path, FeatureSchema(("a", "b"), "label"))
+
+    def test_quoted_cells_are_read(self, tmp_path):
+        # the one-call parse refuses quotes; the per-cell loop reads them
+        path = tmp_path / "d.csv"
+        path.write_text('"b","a","label"\n"2","1","0"\n4,3,"1"\n')
+        ds = load_csv(path, FeatureSchema(("a", "b"), "label"))
+        np.testing.assert_array_equal(ds.rows, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(ds.labels, [0, 1])
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_csv(tmp_path / "absent.csv", tiny_schema(2))
@@ -167,6 +187,120 @@ class TestClean:
         ds = Dataset(tiny_schema(2), np.full((2, 2), np.nan), np.zeros(2, dtype=int))
         with pytest.raises(DataError):
             clean(ds)
+
+
+# Cells that `float` reads after `str.strip`, some of which the one-call
+# parse refuses, and cells that neither reads.
+ODD_CELLS = (
+    "inf", "-inf", "Infinity", "nan", "-nan", "-0.0", "1e400", "-1e400", "1e30",
+    "9.3e18", "1.7", "16.0", "1.", ".5", "1_000", "\u0661\u0662", "0x10", "1e",
+    "#1", "abc", "", "  ", '"1"', '"1,5"', '""', "\xa01\xa0", "\u3000-2\t",
+)
+PADDING = ("", " ", "\t", "\xa0", "\u2003", "\x0b", "\x0c", "\x1c", "\x85")
+
+plain_cells = st.one_of(
+    st.integers(min_value=-20, max_value=20).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=-1e6, max_value=1e6).map(lambda v: f"{v:.4e}"),
+)
+padded_cells = st.tuples(
+    st.sampled_from(PADDING), plain_cells, st.sampled_from(PADDING)
+).map("".join)
+
+
+@st.composite
+def csv_texts(draw):
+    """A header in any order over two features and a label, then records
+    that are mostly numeric, some with odd cells, short or long records,
+    blank lines, either line ending and maybe no final newline."""
+    header = draw(st.permutations(["a", "b", "label"]))
+    odd = draw(st.booleans())
+    cells = st.one_of(padded_cells, st.sampled_from(ODD_CELLS)) if odd else padded_cells
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["record"] * 8 + ["blank", "spaces", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(" ")
+        else:
+            width = draw(st.integers(1, 2)) if kind == "short" else {"record": 3, "long": 4}[kind]
+            lines.append(",".join(draw(st.lists(cells, min_size=width, max_size=width))))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def _outcome(load, path):
+    try:
+        ds = load(path, FeatureSchema(("a", "b"), "label"))
+    except DataError as exc:
+        return str(exc)
+    return ds
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+def test_fast_parse_agrees_with_the_per_cell_loop(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "agree.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = _outcome(load_csv, path)
+    slow = _outcome(load_csv_by_cell, path)
+    if isinstance(slow, str):
+        assert fast == slow
+        return
+    assert isinstance(fast, Dataset)
+    assert fast.schema == slow.schema
+    assert fast.rows.shape == slow.rows.shape
+    np.testing.assert_array_equal(fast.rows.view(np.uint64), slow.rows.view(np.uint64))
+    np.testing.assert_array_equal(fast.labels, slow.labels)
+
+
+def clean_reference(dataset: Dataset) -> Dataset:
+    """`clean` as defined: NaN rows out, then `np.unique(axis=0)` on (row,
+    label) as floats keeps each group's first row, in input order."""
+    complete = ~np.isnan(dataset.rows).any(axis=1)
+    rows, labels = dataset.rows[complete], dataset.labels[complete]
+    if rows.shape[0] == 0:
+        raise DataError("all rows removed during cleaning")
+    combined = np.column_stack([rows, labels.astype(np.float64)])
+    _, first = np.unique(combined, axis=0, return_index=True)
+    keep = np.sort(first)
+    return Dataset(dataset.schema, rows[keep], labels[keep])
+
+
+GRID = (0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan)
+# 2**53 and 2**53 + 1 are one float64, so their rows count as duplicates
+GRID_LABELS = (0, 1, 2, 2**53, 2**53 + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.integers(min_value=1, max_value=3).flatmap(
+        lambda p: st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(GRID), min_size=p, max_size=p),
+                st.sampled_from(GRID_LABELS),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+)
+def test_clean_keeps_what_unique_rows_keep(cells):
+    rows = np.array([r for r, _ in cells], dtype=np.float64)
+    labels = np.array([lab for _, lab in cells], dtype=np.int64)
+    dataset = Dataset(tiny_schema(rows.shape[1]), rows, labels)
+    try:
+        expected = clean_reference(dataset)
+    except DataError:
+        with pytest.raises(DataError, match="all rows removed"):
+            clean(dataset)
+        return
+    got = clean(dataset)
+    np.testing.assert_array_equal(got.rows.view(np.uint64), expected.rows.view(np.uint64))
+    np.testing.assert_array_equal(got.labels, expected.labels)
 
 
 class TestMapLabels:

@@ -605,6 +605,7 @@ class TestCli:
         )
         assert main(["run", "--config", str(cfg_path)]) == 3
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_training_error_exits_4(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path / "out", models={"knn": {"n_neighbors": 100000}})
@@ -661,9 +662,20 @@ class TestCli:
     def test_fuse_top_k_beyond_table_exits_3(self, tmp_path, capsys):
         from xaifuse.fixtures import fixture_path
 
-        table = str(fixture_path("veremi_binary_lime"))
-        assert main(["fuse", table, "--top-k", "7", "--out", str(tmp_path)]) == 3
+        table = str(fixture_path("veremi_binary_lime"))  # six features
+        out = tmp_path / "o"
+        assert main(["fuse", table, "--top-k", "7", "--out", str(out)]) == 3
         assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fuse_three_tables_top_k_beyond_exits_3(self, tmp_path, capsys):
+        from xaifuse.fixtures import fixture_path
+
+        tables = [str(fixture_path(f"veremi_binary_{m}")) for m in ("shap", "lime", "dalex")]
+        out = tmp_path / "o"
+        assert main(["fuse", *tables, "--top-k", "7", "--out", str(out)]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fuse_malformed_table_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
