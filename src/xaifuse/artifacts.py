@@ -1,17 +1,21 @@
-"""The byte format of every file a run writes.
+"""The byte format of every file a run writes, and the readers of every
+file the package reads.
 
 Text is utf-8. CSV files use the csv module's default dialect, so each row
 ends in \\r\\n, and a float cell is written as its `repr`, the shortest text
 that reads back to the same double. JSON documents are canonical: keys
-sorted, two-space indent, one final newline.
+sorted, two-space indent, one final newline. `read_csv` and `read_json` read
+utf-8 text and raise a file that cannot be opened, decoded or parsed as the
+caller's error class, with a message that names the file (and the line).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -30,3 +34,40 @@ def write_json(path: str | Path, doc: Any) -> None:
 
 def write_text(path: str | Path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
+
+
+def read_csv(path: str | Path, error: Callable) -> Iterator[tuple[int, list[str]]]:
+    """Each record of the CSV file at `path`, header first, with the line it
+    ends on. A file that cannot be opened or decoded, or a record the csv
+    module refuses (a cell over `csv.field_size_limit()`), raises `error`."""
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for record in reader:
+                yield reader.line_num, record
+    except FileNotFoundError:
+        raise error(f"no such file: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        # the text layer decodes ahead of the reader: find the bad byte's line
+        text = path.read_bytes().decode("utf-8", "surrogateescape")
+        line = len(re.findall("\r\n?|\n", re.match("[^\udc80-\udcff]*", text)[0])) + 1
+        raise error(f"line {line} of {path} is not utf-8 text") from None
+    except csv.Error as exc:
+        raise error(f"line {reader.line_num} of {path}: {exc}") from None
+
+
+def read_json(path: str | Path, error: Callable) -> Any:
+    """The JSON document at `path`. A file that cannot be opened or
+    decoded, or text that is not one JSON value, raises `error`."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise error(f"no such file: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:  # bad utf-8, syntax or depth
+        raise error(f"{path} is not valid JSON: {exc}") from None

@@ -14,11 +14,10 @@ Exit codes: 0 success, 1 failed conformance check or evaluation error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .artifacts import write_text
+from .artifacts import read_json, write_text
 from .data import DataError, generate_sensor_dataset, save_csv
 from .evaluation import EvaluationError
 from .explainers import ExplainError
@@ -59,12 +58,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    raw = read_json(args.config, ConfigError)
     # parse_config refuses a config that is not an object
     if isinstance(raw, dict):
         for key, value in (("seed", args.seed), ("out_dir", args.out)):

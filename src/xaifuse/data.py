@@ -7,14 +7,13 @@ sentinel until `clean` removes affected rows.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import read_csv, write_csv
 from .seeding import rng_for
 
 
@@ -160,22 +159,24 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
     plain numbers (the common case) is parsed in one `np.loadtxt` call,
     which accepts a subset of what `float` accepts and gives equal values
     where both accept a cell; any other body falls back to the per-cell
-    loop, which marks the NaN cells and refuses long records.
+    loop, which marks the NaN cells and refuses long records. The one known
+    difference: a plain number in an unquoted cell longer than 131,072
+    characters (`csv.field_size_limit()`) is read by `np.loadtxt` and
+    refused by the per-cell loop.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        feat_cols, label_col, width = _read_header(csv.reader(fh), path, schema)
-        try:
-            with warnings.catch_warnings():
-                # an empty body warns; the per-cell loop then names the file
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                body = np.loadtxt(
-                    fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2
-                )
-        except ValueError:
-            body = None
+    records = read_csv(path, DataError)
+    header_line, feat_cols, label_col, width = _read_header(records, path, schema)
+    records.close()
+    try:
+        with warnings.catch_warnings():
+            # an empty body warns; the per-cell loop then names the file
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(
+                path, delimiter=",", dtype=np.float64, comments=None,
+                skiprows=header_line, ndmin=2, encoding="utf-8",
+            )
+    except (ValueError, OSError):  # UnicodeDecodeError is a ValueError
+        body = None
     if body is None or body.shape[0] == 0 or body.shape[1] != width:
         return load_csv_by_cell(path, schema)
     return _labeled(schema, body[:, feat_cols], body[:, label_col])
@@ -183,45 +184,42 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
 
 def load_csv_by_cell(path: str | Path, schema: FeatureSchema) -> Dataset:
     """`load_csv` one `csv` record and one `float` per cell at a time."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        feat_cols, label_col, width = _read_header(reader, path, schema)
-        rows: list[list[float]] = []
-        labels: list[float] = []
-        for record in reader:
-            if not record:
-                continue
-            if len(record) > width:
-                raise DataError(
-                    f"line {reader.line_num} of {path} has {len(record)} cells, "
-                    f"the header {width}: {record}"
-                )
-            row = []
-            for c in feat_cols:
-                cell = record[c].strip() if c < len(record) else ""
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    row.append(np.nan)
-            cell = record[label_col].strip() if label_col < len(record) else ""
+    records = read_csv(path, DataError)
+    _, feat_cols, label_col, width = _read_header(records, path, schema)
+    rows: list[list[float]] = []
+    labels: list[float] = []
+    for line, record in records:
+        if not record:
+            continue
+        if len(record) > width:
+            raise DataError(
+                f"line {line} of {path} has {len(record)} cells, "
+                f"the header {width}: {record}"
+            )
+        row = []
+        for c in feat_cols:
+            cell = record[c].strip() if c < len(record) else ""
             try:
-                labels.append(float(cell))
+                row.append(float(cell))
             except ValueError:
-                labels.append(np.nan)
-            rows.append(row)
+                row.append(np.nan)
+        cell = record[label_col].strip() if label_col < len(record) else ""
+        try:
+            labels.append(float(cell))
+        except ValueError:
+            labels.append(np.nan)
+        rows.append(row)
     if not rows:
         raise DataError(f"no data rows in {path}")
     return _labeled(schema, np.asarray(rows, dtype=np.float64), np.asarray(labels))
 
 
-def _read_header(reader, path: Path, schema: FeatureSchema) -> tuple[list[int], int, int]:
-    """Check the header record; return the feature columns in schema order,
-    the label column and the header width."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"empty file: {path}") from None
+def _read_header(records, path, schema: FeatureSchema) -> tuple[int, list, int, int]:
+    """Check `read_csv`'s first record, the header; return its line, the
+    feature columns in schema order, the label column and the header width."""
+    line, header = next(records, (0, None))
+    if header is None:
+        raise DataError(f"empty file: {path}")
     header = [h.strip() for h in header]
     repeated = sorted({h for h in header if header.count(h) > 1})
     if repeated:
@@ -235,7 +233,7 @@ def _read_header(reader, path: Path, schema: FeatureSchema) -> tuple[list[int], 
         )
     col_of = {name: i for i, name in enumerate(header)}
     feat_cols = [col_of[name] for name in schema.feature_names]
-    return feat_cols, col_of[schema.label_column], len(header)
+    return line, feat_cols, col_of[schema.label_column], len(header)
 
 
 def _labeled(schema: FeatureSchema, x: np.ndarray, raw: np.ndarray) -> Dataset:

@@ -10,10 +10,10 @@ metrics that are reported for context only and never recomputed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..artifacts import read_csv
 from ..fusion import FusionError, RankTable, read_rank_table
 
 DATASETS = ("veremi_binary", "sensor", "veremi_multiclass")
@@ -27,10 +27,7 @@ _HERE = Path(__file__).parent
 
 
 def fixture_path(name: str) -> Path:
-    path = _HERE / f"{name}.csv"
-    if not path.exists():
-        raise FusionError(f"no such fixture: {name}")
-    return path
+    return _HERE / f"{name}.csv"
 
 
 def load_rank_fixture(name: str) -> RankTable:
@@ -44,16 +41,22 @@ def load_rank_fixtures(dataset: str) -> dict[str, RankTable]:
     return {m: load_rank_fixture(f"{dataset}_{m}") for m in XAI_METHODS}
 
 
+def _records(name: str) -> list[dict[str, str]]:
+    """The records of a shipped table, each keyed by the table's header."""
+    records = read_csv(fixture_path(name), FusionError)
+    _, header = next(records)
+    return [dict(zip(header, record)) for _, record in records if record]
+
+
 def load_reference_top_features() -> dict[tuple[str, str], tuple[str, ...]]:
     """(dataset, method) -> ordered reference top-k feature names.
 
     method is one of shap/lime/dalex/leveled.
     """
     out: dict[tuple[str, str], list[tuple[int, str]]] = {}
-    with fixture_path("reference_top_features").open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["dataset"], row["method"])
-            out.setdefault(key, []).append((int(row["position"]), row["feature"]))
+    for row in _records("reference_top_features"):
+        key = (row["dataset"], row["method"])
+        out.setdefault(key, []).append((int(row["position"]), row["feature"]))
     return {
         key: tuple(name for _, name in sorted(entries))
         for key, entries in out.items()
@@ -70,16 +73,13 @@ class ReferenceMetric:
 
 
 def load_reference_metrics() -> tuple[ReferenceMetric, ...]:
-    rows = []
-    with fixture_path("reference_metrics").open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                ReferenceMetric(
-                    dataset=row["dataset"],
-                    classifier=row["classifier"],
-                    method=row["method"],
-                    metric=row["metric"],
-                    value=float(row["value"]),
-                )
-            )
-    return tuple(rows)
+    return tuple(
+        ReferenceMetric(
+            dataset=row["dataset"],
+            classifier=row["classifier"],
+            method=row["method"],
+            metric=row["metric"],
+            value=float(row["value"]),
+        )
+        for row in _records("reference_metrics")
+    )

@@ -13,13 +13,12 @@ point counting is well defined either way.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import read_csv, write_csv
 
 
 class FusionError(Exception):
@@ -178,33 +177,26 @@ def write_rank_table(table: RankTable, path: str | Path) -> None:
 
 
 def read_rank_table(path: str | Path) -> RankTable:
-    path = Path(path)
-    if not path.exists():
-        raise FusionError(f"no such rank table: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    records = read_csv(path, FusionError)
+    _, header = next(records, (0, []))
+    if len(header) < 2 or header[0] != "feature":
+        raise FusionError(f"malformed rank table header in {path}")
+    sources = tuple(h.strip() for h in header[1:])
+    names: list[str] = []
+    rows: list[list[int]] = []
+    for line, record in records:
+        if not record:
+            continue
+        if len(record) != len(header):
+            raise FusionError(
+                f"line {line} of {path} has {len(record)} cells, "
+                f"the header {len(header)}: {record}"
+            )
+        names.append(record[0].strip())
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FusionError(f"empty rank table: {path}") from None
-        if len(header) < 2 or header[0] != "feature":
-            raise FusionError(f"malformed rank table header in {path}")
-        sources = tuple(h.strip() for h in header[1:])
-        names: list[str] = []
-        rows: list[list[int]] = []
-        for record in reader:
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise FusionError(
-                    f"line {reader.line_num} of {path} has {len(record)} cells, "
-                    f"the header {len(header)}: {record}"
-                )
-            names.append(record[0].strip())
-            try:
-                rows.append([int(cell) for cell in record[1:]])
-            except ValueError:
-                raise FusionError(f"non-integer rank in {path}: {record}") from None
+            rows.append([int(cell) for cell in record[1:]])
+        except ValueError:
+            raise FusionError(f"non-integer rank in {path}: {record}") from None
     return RankTable(
         feature_names=tuple(names), sources=sources, ranks=np.array(rows)
     )

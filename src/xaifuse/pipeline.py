@@ -18,7 +18,7 @@ from typing import Any, Mapping, Sequence, Union, get_args, get_origin, get_type
 import numpy as np
 
 from . import __version__
-from .artifacts import write_json, write_text
+from .artifacts import read_json, write_json, write_text
 from .data import (
     SENSOR_SCHEMA,
     VEREMI_SCHEMA,
@@ -40,6 +40,7 @@ from .evaluation import (
     reference_metrics_markdown,
 )
 from .explainers import (
+    XAI_METHOD_NAMES,
     ExplainError,
     ExplainerConfig,
     ImportanceVector,
@@ -463,47 +464,22 @@ def _explain_all(
     if "lime" in by_method:
         train_sd = train.rows.std(axis=0)
 
-    def timed(tag: str, method: str, explain) -> None:
-        t0 = time.perf_counter()
-        vector = explain()
-        seconds = time.perf_counter() - t0
-        by_method[method].append(vector)
-        costs.append(ExplainCost(tag, method, seconds, vector.model_rows))
-
     for tag, model in models.items():
-        if "shap" in by_method:
-            timed(
-                tag,
-                "shap",
-                lambda: shap_global(
-                    shap_values(
-                        model, rows, background, exact_cap=settings.shap_exact_cap
-                    ),
-                    model_tag=tag,
-                ),
-            )
-        if "lime" in by_method:
-            lime_seed = derive_seed(cfg.seed, "explain", "lime", tag)
-            timed(
-                tag,
-                "lime",
-                lambda: lime_global(
-                    model, rows, train_sd, settings, lime_seed, model_tag=tag
-                ),
-            )
-        if "permutation" in by_method:
-            timed(
-                tag,
-                "permutation",
-                lambda: permutation_importance(
-                    model,
-                    rows,
-                    labels,
-                    rounds=settings.permutation_rounds,
-                    seed=derive_seed(cfg.seed, "explain", "permutation", tag),
-                    model_tag=tag,
-                ),
-            )
+        for method in (m for m in XAI_METHOD_NAMES if m in by_method):
+            seed = derive_seed(cfg.seed, "explain", method, tag)  # shap takes none
+            t0 = time.perf_counter()
+            if method == "shap":
+                values = shap_values(model, rows, background, settings.shap_exact_cap)
+                vector = shap_global(values, model_tag=tag)
+            elif method == "lime":
+                vector = lime_global(model, rows, train_sd, settings, seed, model_tag=tag)
+            else:
+                vector = permutation_importance(
+                    model, rows, labels, settings.permutation_rounds, seed, model_tag=tag
+                )
+            seconds = time.perf_counter() - t0
+            by_method[method].append(vector)
+            costs.append(ExplainCost(tag, method, seconds, vector.model_rows))
     return by_method, costs
 
 
@@ -657,13 +633,10 @@ def render_summary_from_artifacts(out_dir: str | Path) -> str:
 
 
 def _rendered(path: Path, render, null_ok: bool = False) -> list[str]:
-    """render() of the JSON document at `path`. A document that is not
-    JSON, not an object (or null, where null_ok) or lacks a field is a
-    DataError that names the file."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise DataError(f"{path} is not valid JSON: {exc}") from None
+    """render() of the JSON document at `path`. A file that cannot be read
+    as JSON, or a document that is not an object (or null, where null_ok)
+    or lacks a field, is a DataError that names the file."""
+    doc = read_json(path, DataError)
     if not (isinstance(doc, dict) or (null_ok and doc is None)):
         raise DataError(f"{path} does not hold a JSON object")
     try:

@@ -139,6 +139,23 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.rows, [[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(ds.labels, [0, 1])
 
+    def test_a_cell_over_the_csv_field_limit(self, tmp_path):
+        # the one known difference between the two paths: np.loadtxt reads a
+        # plain number in an unquoted cell over 131,072 characters, which the
+        # per-cell loop refuses; quoted, the cell is refused by both
+        schema = FeatureSchema(("a", "b"), "label")
+        digits = "1" * 200_000
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,label\n{digits},2,0\n3,4,1\n")
+        ds = load_csv(path, schema)
+        np.testing.assert_array_equal(ds.rows, [[float(digits), 2.0], [3.0, 4.0]])
+        with pytest.raises(DataError, match="line 2 of .*field larger than field limit"):
+            load_csv_by_cell(path, schema)
+        path.write_text(f'a,b,label\n"{digits}",2,0\n3,4,1\n')
+        for load in (load_csv, load_csv_by_cell):
+            with pytest.raises(DataError, match="line 2 of .*field larger than field limit"):
+                load(path, schema)
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_csv(tmp_path / "absent.csv", tiny_schema(2))

@@ -351,6 +351,75 @@ def test_malformed_config_exits_2_before_writing(tmp_path, capsys, where, value)
     assert not (tmp_path / "out").exists()
 
 
+SENSOR_HEADER = ",".join([*SENSOR_SCHEMA.feature_names, "label"]).encode()
+SENSOR_RECORD = b"1,1,1,60,1,2,0.5,10,100,1,0"
+LONG_CELL = b'"' + b"1" * 200_000 + b'"'
+
+# entry point, the content of the file it reads (None: a directory, "absent":
+# no file), and a fragment of the one stderr line
+UNREADABLE = {
+    "config absent": ("config", "absent", "no such file"),
+    "config directory": ("config", None, "Is a directory"),
+    "config not utf-8": ("config", b'{"seed": 1\xff}', "is not valid JSON"),
+    "config not json": ("config", b"{not json", "is not valid JSON"),
+    "data directory": ("data", None, "Is a directory"),
+    "data header not utf-8": (
+        "data",
+        SENSOR_HEADER.replace(b"label", b"lab\xffel") + b"\n" + SENSOR_RECORD + b"\n",
+        "line 1 of",
+    ),
+    "data body not utf-8": (
+        "data",
+        SENSOR_HEADER + b"\n" + SENSOR_RECORD + b"\r\n" + SENSOR_RECORD + b"\xff\n",
+        "line 3 of",
+    ),
+    "data long cell": (
+        "data",
+        SENSOR_HEADER + b"\n" + LONG_CELL + SENSOR_RECORD[1:] + b"\n",
+        "line 2 of",
+    ),
+    "fuse directory": ("fuse", None, "Is a directory"),
+    "fuse not utf-8": ("fuse", b"feature,DT\na,1\nb\xff,2\n", "line 3 of"),
+    "fuse long cell": ("fuse", b"feature,DT\n" + LONG_CELL + b",1\n", "line 2 of"),
+    "report directory": ("report", None, "Is a directory"),
+    "report not utf-8": ("report", b'{"run": "\xff"}', "is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("entry, content, says", UNREADABLE.values(), ids=list(UNREADABLE))
+def test_unreadable_input_exits_with_one_line(tmp_path, capsys, entry, content, says):
+    out = tmp_path / "out"
+    if entry == "report":
+        out.mkdir()
+        bad = out / "metrics.json"
+    else:
+        bad = tmp_path / ("input.csv" if entry in ("data", "fuse") else "cfg.json")
+    if content is None:
+        bad.mkdir()
+    elif content != "absent":
+        bad.write_bytes(content)
+    cfg = tmp_path / "cfg.json"
+    if entry == "data":
+        source = {"kind": "csv", "path": str(bad), "schema": "sensor"}
+        cfg.write_text(json.dumps(tiny_config(out, source=source)))
+    argv = {
+        "config": ["run", "--config", str(cfg)],
+        "data": ["run", "--config", str(cfg)],
+        "fuse": ["fuse", str(bad), "--out", str(out)],
+        "report": ["report", "--out", str(out)],
+    }[entry]
+    assert main(argv) == (2 if entry == "config" else 3)
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if entry == "config" else "data error: ")
+    assert err.count("\n") == 1
+    assert str(bad) in err and says in err
+    assert "Traceback" not in err
+    if entry == "report":
+        assert list(out.iterdir()) == [bad]
+    else:
+        assert not out.exists()
+
+
 EXPECTED_RUN_FILES = {
     "importances.csv",
     "ranks_shap.csv",
