@@ -7,25 +7,38 @@ that reads back to the same double. JSON documents are canonical: keys
 sorted, two-space indent, one final newline. `read_csv` and `read_json` read
 utf-8 text and raise a file that cannot be opened, decoded or parsed as the
 caller's error class, with a message that names the file (and the line).
+`make_dir` and `write_text` make every output and raise `WriteError`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
+class WriteError(Exception):
+    """An output directory or file that cannot be made or written."""
+
+
+def make_dir(path: str | Path) -> None:
+    """Make the directory at `path` and its missing parents."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    write_text(path, buf.getvalue())
 
 
 def write_json(path: str | Path, doc: Any) -> None:
@@ -33,7 +46,13 @@ def write_json(path: str | Path, doc: Any) -> None:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    """Write `text` to `path` as utf-8, untranslated, making its directory."""
+    make_dir(Path(path).parent)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def read_csv(path: str | Path, error: Callable) -> Iterator[tuple[int, list[str]]]:

@@ -8,7 +8,8 @@ Subcommands:
   report        rebuild summary.md, byte for byte, from a run's JSON artifacts
 
 Exit codes: 0 success, 1 failed conformance check or evaluation error,
-2 config validation, 3 data error, 4 training error, 5 explanation error.
+2 config validation or an unwritable output path, 3 data error, 4 training
+error, 5 explanation error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .artifacts import read_json, write_text
+from .artifacts import WriteError, read_json, write_text
 from .data import DataError, generate_sensor_dataset, save_csv
 from .evaluation import EvaluationError
 from .explainers import ExplainError
@@ -94,14 +95,13 @@ def _cmd_fuse(args) -> int:
         name, table = next(iter(tables.items()))
         fused = fuse_ranks(table, spec)
         write_fused(fused, out / f"fused_{name}.csv")
-        picks = ", ".join(f.name for f in top_k(fused, spec.top_k))
-        print(f"{name}: {picks}")
-        return 0
-    per_method, leveled = two_level_fuse(tables, spec)
-    write_fusion(per_method, leveled, out, "fused_")
-    for name, fused in [*per_method.items(), ("leveled", leveled)]:
-        picks = ", ".join(f.name for f in top_k(fused, spec.top_k))
-        print(f"{name}: {picks}")
+        results = [(name, fused)]
+    else:
+        per_method, leveled = two_level_fuse(tables, spec)
+        write_fusion(per_method, leveled, out, "fused_")
+        results = [*per_method.items(), ("leveled", leveled)]
+    for name, fused in results:
+        print(f"{name}: {', '.join(f.name for f in top_k(fused, spec.top_k))}")
     return 0
 
 
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, WriteError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, FusionError) as exc:

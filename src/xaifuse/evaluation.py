@@ -256,10 +256,6 @@ def _judge(computed: tuple[str, ...], reference: tuple[str, ...]) -> tuple[str, 
     return MISMATCH, diff
 
 
-def _top_names(fused: FusedRanking, k: int) -> tuple[str, ...]:
-    return tuple(f.name for f in top_k(fused, k))
-
-
 def _set_matches(c: CellVerdict) -> tuple[bool, str]:
     return c.verdict in (EXACT_ORDER_MATCH, SET_MATCH), c.diff or "set matches"
 
@@ -286,7 +282,6 @@ _REQUIRED_CHECKS = (
 
 def conformance_check(
     computed: Mapping[str, tuple[Mapping[str, FusedRanking], FusedRanking]],
-    reference: Mapping[tuple[str, str], tuple[str, ...]] | None = None,
 ) -> ConformanceReport:
     """Compare two-level fusion outputs against the reference top-k columns.
 
@@ -294,18 +289,15 @@ def conformance_check(
     by two_level_fuse.  Four checks are hard requirements; every other cell
     is reported informationally with its diff.
     """
-    if reference is None:
-        reference = load_reference_top_features()
-
     cells = []
-    for (dataset, method), ref_column in sorted(reference.items()):
+    for (dataset, method), ref_column in sorted(load_reference_top_features().items()):
         if dataset not in computed:
             continue
         per_method, leveled = computed[dataset]
         fused = leveled if method == "leveled" else per_method.get(method)
         if fused is None:
             continue
-        names = _top_names(fused, len(ref_column))
+        names = tuple(f.name for f in top_k(fused, len(ref_column)))
         verdict, diff = _judge(names, ref_column)
         cells.append(
             CellVerdict(
@@ -356,14 +348,12 @@ def conformance_markdown(doc: Mapping) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_metrics_markdown(rows=None) -> str:
+def reference_metrics_markdown() -> str:
     """Reference classifier metrics rendered per (dataset, classifier) block,
     one metric row by method column.  For context only; nothing in the test
     suite or pipeline asserts against these numbers."""
-    if rows is None:
-        rows = load_reference_metrics()
     lookup: dict[tuple[str, str], dict[tuple[str, str], float]] = {}
-    for r in rows:
+    for r in load_reference_metrics():
         lookup.setdefault((r.dataset, r.classifier), {})[(r.metric, r.method)] = r.value
     methods = ("shap", "lime", "dalex", "leveled")
     metrics = ("acc", "precision", "recall", "f1")

@@ -239,16 +239,13 @@ def _leaf_shares(p: int) -> tuple[np.ndarray, np.ndarray]:
     reaches the leaf iff it takes the a path features that only the instance
     satisfies from the instance, and the b that only the background row
     satisfies from the background row. Each of the a features gains
-    (a-1)! b! / (a+b)!, each of the b loses a! (b-1)! / (a+b)!."""
-    fact = [math.factorial(i) for i in range(p + 1)]
+    (a-1)! b! / (a+b)!, each of the b loses a! (b-1)! / (a+b)!: the
+    Shapley weights of coalition sizes a-1 and a among a+b players."""
     gain = np.zeros((p + 1, p + 1))
     loss = np.zeros((p + 1, p + 1))
-    for a in range(p + 1):
-        for b in range(p + 1 - a):
-            if a:
-                gain[a, b] = fact[a - 1] * fact[b] / fact[a + b]
-            if b:
-                loss[a, b] = fact[a] * fact[b - 1] / fact[a + b]
+    for m in range(1, p + 1):
+        a = np.arange(m)
+        gain[a + 1, m - a - 1] = loss[a, m - a] = _coalition_weights(m)
     return gain, loss
 
 

@@ -40,8 +40,7 @@ class RankTable:
         if not np.issubdtype(ranks.dtype, np.integer):
             if not np.all(ranks == np.round(ranks)):
                 raise FusionError("ranks must be integers")
-            ranks = ranks.astype(np.int64)
-        ranks = ranks.astype(np.int64)
+        ranks = ranks.astype(np.int64)  # a copy, so the caller's array stays writable
         p = len(names)
         if len(set(names)) != p or p == 0:
             raise FusionError("feature names must be unique and non-empty")
@@ -53,7 +52,6 @@ class RankTable:
             )
         if ranks.min() < 1 or ranks.max() > p:
             raise FusionError("ranks must lie in 1..p")
-        ranks = ranks.copy()
         ranks.setflags(write=False)
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "sources", sources)

@@ -18,17 +18,15 @@ import numpy as np
 from .ovr import ProbaClassifier, ovr_proba, ovr_targets, sigmoid
 
 
-def _rbf(a: np.ndarray, b: np.ndarray, gamma: float, dtype=np.float64) -> np.ndarray:
-    # in place, so the float64 distance matrix is the only n x m temporary
+def _rbf(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    # in place, so the distance matrix becomes the kernel without a copy
     d = a @ b.T
     d *= -2.0
     d += (a**2).sum(axis=1)[:, None]
     d += (b**2).sum(axis=1)
     np.maximum(d, 0.0, out=d)
     d *= -gamma
-    if dtype == np.float64:
-        return np.exp(d, out=d)
-    return np.exp(d, dtype=dtype)
+    return np.exp(d, out=d)
 
 
 def _platt_fit(scores: np.ndarray, labels01: np.ndarray) -> tuple[float, float]:
@@ -72,7 +70,7 @@ class _BinarySvm:
         n = X.shape[0]
         alpha = np.zeros(n)
         b = 0.0
-        err = -y_pm.astype(np.float64)  # f(x) - y with f == 0 initially
+        err = -y_pm  # f(x) - y with f == 0 initially
         updates = 0
         passes_clean = 0
         c, tol = self.c, self.tol
@@ -127,18 +125,15 @@ class _BinarySvm:
 
         sv = alpha > 1e-12
         self.support_vectors_ = X[sv]
-        self.dual_coef_ = (alpha[sv] * y_pm[sv]).astype(np.float64)
+        self.dual_coef_ = alpha[sv] * y_pm[sv]
         self.intercept_ = b
-        train_scores = self.decision_function(X, gram_row=gram[:, sv])
+        train_scores = gram[:, sv] @ self.dual_coef_ + b
         self.platt_a_, self.platt_b_ = _platt_fit(train_scores, y_pm == 1)
         return self
 
-    def decision_function(self, X, gram_row: np.ndarray | None = None) -> np.ndarray:
-        if gram_row is None:
-            gram_row = _rbf(
-                np.asarray(X, dtype=np.float64), self.support_vectors_, self.gamma
-            )
-        return gram_row.astype(np.float64) @ self.dual_coef_ + self.intercept_
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
+        gram_row = _rbf(X, self.support_vectors_, self.gamma)
+        return gram_row @ self.dual_coef_ + self.intercept_
 
     def platt_score(self, X) -> np.ndarray:
         """The decision value on the logit scale of the Platt sigmoid."""
@@ -146,6 +141,10 @@ class _BinarySvm:
 
 
 class SvmRbf(ProbaClassifier):
+    """RBF-kernel SVM with one binary machine per one-vs-rest scorer. `fit`
+    holds the training Gram matrix as one float64 n x n array, 8n² bytes,
+    that every machine shares."""
+
     def __init__(
         self,
         c: float = 1.0,
@@ -167,9 +166,7 @@ class SvmRbf(ProbaClassifier):
         n, p = X.shape
         self.classes_, targets = ovr_targets(y)
         self.gamma_ = 1.0 / p if self.gamma == "auto" else float(self.gamma)
-        # the full kernel matrix dominates memory; drop to float32 past 4096 rows
-        dtype = np.float64 if n <= 4096 else np.float32
-        gram = _rbf(X, X, self.gamma_, dtype=dtype)
+        gram = _rbf(X, X, self.gamma_)
         max_updates = self.updates_per_row * n
         self._machines = [
             _BinarySvm(self.c, self.gamma_, self.tol, max_updates).fit(

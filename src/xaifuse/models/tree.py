@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ovr import ProbaClassifier
+
 # (row, tree) cells per walk block; bounds the walker's temporaries
 CELL_BUDGET = 1 << 16
 
@@ -149,7 +151,7 @@ def _child_order(order, go_right, n_left, n_right):
     return out
 
 
-class DecisionTree:
+class DecisionTree(ProbaClassifier):
     """CART-style tree for weighted classification (gini, `fit`) or
     regression (mse, `fit_regression`).
 
@@ -310,12 +312,6 @@ class DecisionTree:
         if self.classes_ is None:
             raise ValueError("probability output requires a classification tree")
         return self.value_[self.apply(X)]
-
-    def predict(self, X) -> np.ndarray:
-        leaf = self.apply(X)
-        if self.classes_ is None:
-            return self.value_[leaf, 0]
-        return self.classes_[np.argmax(self.value_[leaf], axis=1)]
 
     @property
     def node_count(self) -> int:

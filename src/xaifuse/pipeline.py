@@ -18,7 +18,7 @@ from typing import Any, Mapping, Sequence, Union, get_args, get_origin, get_type
 import numpy as np
 
 from . import __version__
-from .artifacts import read_json, write_json, write_text
+from .artifacts import make_dir, read_json, write_json, write_text
 from .data import (
     SENSOR_SCHEMA,
     VEREMI_SCHEMA,
@@ -661,7 +661,6 @@ def run_fixture_conformance(out_dir: str | Path):
     dataset's reference top_k, and judge them against the reference columns;
     no training involved."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     clock = _StageClock()
 
     def fuse_all():
@@ -697,8 +696,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
         "split",
         lambda: split_and_scale(dataset, cfg.sampler),
     )
-    # only now, so a data error (exit 3) leaves no empty directory behind
-    out.mkdir(parents=True, exist_ok=True)
+    # only now, so a data error (exit 3) leaves no empty directory behind,
+    # and before training, so an unwritable out_dir fails in seconds
+    make_dir(out)
 
     models = clock.run("train", lambda: _train_all(cfg, train))
     rows, labels = _explanation_rows(cfg, train)

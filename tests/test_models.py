@@ -19,7 +19,7 @@ from xaifuse.models import (
 )
 from xaifuse.models import knn, tree
 from xaifuse.models.ovr import ovr_targets
-from xaifuse.models.svm import _rbf
+from xaifuse.models.svm import _BinarySvm, _rbf
 from xaifuse.seeding import derive_seed
 
 
@@ -326,7 +326,7 @@ class TestDecisionTreeAgainstReference:
         tree = DecisionTree(max_depth=depth, min_samples_leaf=2).fit_regression(X, y)
         ref = ref_build(X, y.astype(int), w, "mse", depth, 2, 2, 1)
         grid = rng.integers(-1, 7, size=(150, 3)).astype(float)
-        got = tree.predict(grid)
+        got = tree.value_[tree.apply(grid), 0]
         want = np.array([ref_predict_value(ref, row)[0] for row in grid])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -690,18 +690,33 @@ class TestSvm:
         b = SvmRbf().fit(X, y).predict_proba(X)
         assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_rbf_matches_plain_expression(self, dtype):
+    def test_rbf_matches_plain_expression(self):
         rng = np.random.default_rng(36)
         a = rng.normal(size=(37, 4))
         b = rng.normal(size=(23, 4))
         for x, z in ((a, b), (a, a)):
             d = (x**2).sum(axis=1)[:, None] - 2.0 * (x @ z.T) + (z**2).sum(axis=1)
             np.maximum(d, 0.0, out=d)
-            want = np.exp(-0.3 * d, dtype=dtype)
-            got = _rbf(x, z, 0.3, dtype=dtype)
+            want = np.exp(-0.3 * d)
+            got = _rbf(x, z, 0.3)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+    def test_gram_is_float64_past_4096_rows(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        X = np.vstack([rng.normal(-2, 0.4, (2049, 2)), rng.normal(2, 0.4, (2048, 2))])
+        y = np.array([0] * 2049 + [1] * 2048)
+        seen = []
+        fit = _BinarySvm.fit
+
+        def spy(self, X, y_pm, gram):
+            seen.append(gram.dtype)
+            return fit(self, X, y_pm, gram)
+
+        monkeypatch.setattr(_BinarySvm, "fit", spy)
+        model = SvmRbf().fit(X, y)
+        assert seen == [np.float64]
+        assert (model.predict(X) == y).all()
 
 
 class TestOneVsRest:

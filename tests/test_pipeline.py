@@ -11,6 +11,7 @@ import pytest
 from xaifuse.cli import main
 from xaifuse.data import SENSOR_SCHEMA, load_csv
 from xaifuse.explainers import ExplainerConfig
+from xaifuse.fixtures import fixture_path
 from xaifuse.fusion import FusionSpec
 from xaifuse.pipeline import (
     ConfigError,
@@ -418,6 +419,46 @@ def test_unreadable_input_exits_with_one_line(tmp_path, capsys, entry, content, 
         assert list(out.iterdir()) == [bad]
     else:
         assert not out.exists()
+
+
+# entry point, and whether the path it cannot write is an existing directory
+# (or else an existing file)
+UNWRITABLE = {
+    "generate": ("generate", True),
+    "conformance": ("conformance", False),
+    "fuse": ("fuse", False),
+    "run": ("run", False),
+    "report": ("report", True),
+}
+
+
+@pytest.mark.parametrize("entry, is_dir", UNWRITABLE.values(), ids=list(UNWRITABLE))
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, entry, is_dir):
+    out = tmp_path / "out"
+    bad = out / "summary.md" if entry == "report" else out
+    if entry == "report":
+        out.mkdir()
+        (out / "conformance.json").write_text("null\n")
+    if is_dir:
+        bad.mkdir()
+    else:
+        bad.write_text("taken\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_config(tmp_path / "unused")))
+    argv = {
+        "generate": ["generate", "--out", str(out), "--seed", "3", "--n", "40"],
+        "conformance": ["conformance", "--out", str(out)],
+        "fuse": ["fuse", str(fixture_path("sensor_shap")), "--out", str(out)],
+        "run": ["run", "--config", str(cfg), "--out", str(out)],
+        "report": ["report", "--out", str(out)],
+    }[entry]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write {bad}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert bad.is_dir() == is_dir
 
 
 EXPECTED_RUN_FILES = {
