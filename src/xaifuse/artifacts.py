@@ -78,12 +78,17 @@ def read_csv(path: str | Path, error: Callable) -> Iterator[tuple[int, list[str]
         raise error(f"line {reader.line_num} of {path}: {exc}") from None
 
 
+def _non_finite(word: str) -> Any:
+    raise ValueError(f"{word} is not a JSON number")
+
+
 def read_json(path: str | Path, error: Callable) -> Any:
     """The JSON document at `path`. A file that cannot be opened or
-    decoded, or text that is not one JSON value, raises `error`."""
+    decoded, or text that is not one JSON value (RFC 8259, so NaN,
+    Infinity and -Infinity are refused), raises `error`."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"), parse_constant=_non_finite)
     except FileNotFoundError:
         raise error(f"no such file: {path}") from None
     except OSError as exc:

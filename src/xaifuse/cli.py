@@ -29,7 +29,6 @@ from .fusion import (
     read_rank_table,
     top_k,
     two_level_fuse,
-    write_fused,
     write_fusion,
 )
 from .pipeline import (
@@ -88,20 +87,21 @@ def _cmd_fuse(args) -> int:
         spec = FusionSpec(**{k: v for k, v in given.items() if v is not None})
     except FusionError as exc:
         raise ConfigError(f"bad fusion flags: {exc}") from None
-    tables = {Path(p).stem: read_rank_table(p) for p in args.tables}
-    # the writers create the directory, so a fusion error leaves none behind
-    out = Path(args.out)
+    paths: dict[str, str] = {}
+    for path in args.tables:
+        stem = Path(path).stem
+        if stem in paths:
+            raise FusionError(f"{paths[stem]} and {path} share the name {stem!r}")
+        paths[stem] = path
+    tables = {stem: read_rank_table(path) for stem, path in paths.items()}
     if len(tables) == 1:
-        name, table = next(iter(tables.items()))
-        fused = fuse_ranks(table, spec)
-        write_fused(fused, out / f"fused_{name}.csv")
-        results = [(name, fused)]
+        fused = {stem: fuse_ranks(table, spec) for stem, table in tables.items()}
     else:
-        per_method, leveled = two_level_fuse(tables, spec)
-        write_fusion(per_method, leveled, out, "fused_")
-        results = [*per_method.items(), ("leveled", leveled)]
-    for name, fused in results:
-        print(f"{name}: {', '.join(f.name for f in top_k(fused, spec.top_k))}")
+        fused = two_level_fuse(tables, spec)
+    # the writers create the directory, so a fusion error leaves none behind
+    write_fusion(fused, Path(args.out), "fused_")
+    for name, ranking in fused.items():
+        print(f"{name}: {', '.join(f.name for f in top_k(ranking, spec.top_k))}")
     return 0
 
 

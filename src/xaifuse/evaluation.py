@@ -281,20 +281,18 @@ _REQUIRED_CHECKS = (
 
 
 def conformance_check(
-    computed: Mapping[str, tuple[Mapping[str, FusedRanking], FusedRanking]],
+    computed: Mapping[str, Mapping[str, FusedRanking]],
 ) -> ConformanceReport:
     """Compare two-level fusion outputs against the reference top-k columns.
 
-    `computed` maps a dataset tag to a (per_method, leveled) pair as returned
-    by two_level_fuse.  Four checks are hard requirements; every other cell
-    is reported informationally with its diff.
+    `computed` maps a dataset tag to the mapping that two_level_fuse returns,
+    so each reference column, "leveled" included, is judged against the
+    ranking of its own name.  Four checks are hard requirements; every other
+    cell is reported informationally with its diff.
     """
     cells = []
     for (dataset, method), ref_column in sorted(load_reference_top_features().items()):
-        if dataset not in computed:
-            continue
-        per_method, leveled = computed[dataset]
-        fused = leveled if method == "leveled" else per_method.get(method)
+        fused = computed.get(dataset, {}).get(method)
         if fused is None:
             continue
         names = tuple(f.name for f in top_k(fused, len(ref_column)))

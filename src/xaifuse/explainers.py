@@ -31,7 +31,7 @@ from .artifacts import write_csv
 from .fusion import to_ranks
 from .models.forest import RandomForest
 from .models.tree import DecisionTree
-from .seeding import rng_for
+from .seeding import rng_for, subsample
 
 # model rows per coalition block, so a block's hybrid rows take at most
 # ROW_BUDGET x p floats; TreeSHAP blocks hold at most ROW_BUDGET
@@ -141,10 +141,7 @@ def select_background(train_rows: np.ndarray, size: int, seed: int) -> np.ndarra
     n = train_rows.shape[0]
     if n == 0:
         raise ExplainError("background must be non-empty")
-    if n <= size:
-        return train_rows
-    idx = rng_for(seed, "background").choice(n, size=size, replace=False)
-    return train_rows[np.sort(idx)]
+    return train_rows[subsample(n, size, seed, "background")]
 
 
 def _coalition_weights(p: int) -> np.ndarray:
@@ -203,35 +200,23 @@ def _leaf_boxes(model, cols: list[int], p: int):
     per-leaf class distributions, or None for any other model. A row
     reaches a leaf iff lo < x <= hi on every feature (`apply` goes left on
     <=); value holds the leaf's share of the explained columns."""
-    if isinstance(model, RandomForest):
-        trees = model.trees_
-    elif isinstance(model, DecisionTree):
-        trees = [model]
-    else:
+    if not isinstance(model, (RandomForest, DecisionTree)):
         return None
-    los, his, values = [], [], []
-    for tree in trees:
-        lo = np.full((tree.node_count, p), -np.inf)
-        hi = np.full((tree.node_count, p), np.inf)
-        nodes = np.array([0])
-        while len(nodes):
-            nodes = nodes[tree.feature_[nodes] >= 0]
-            f, t = tree.feature_[nodes], tree.threshold_[nodes]
-            left, right = tree.children_left_[nodes], tree.children_right_[nodes]
-            for child in (left, right):
-                lo[child], hi[child] = lo[nodes], hi[nodes]
-            hi[left, f] = np.minimum(hi[left, f], t)
-            lo[right, f] = np.maximum(lo[right, f], t)
-            nodes = np.concatenate([left, right])
-        # bootstrap samples can miss rare classes; align by label
-        dist = np.zeros((tree.node_count, len(model.classes_)))
-        dist[:, np.searchsorted(model.classes_, tree.classes_)] = tree.value_
-        leaf = tree.feature_ < 0
-        los.append(lo[leaf])
-        his.append(hi[leaf])
-        values.append(dist[leaf][:, cols])
-    value = np.concatenate(values) / len(trees)
-    return np.concatenate(los), np.concatenate(his), value
+    stack = model._stack  # both keep value_ per stacked node
+    lo = np.full((len(stack.leaf), p), -np.inf)
+    hi = np.full((len(stack.leaf), p), np.inf)
+    nodes = stack.roots
+    while len(nodes):
+        nodes = nodes[~stack.leaf[nodes]]
+        f, t = stack.feature[nodes], stack.threshold[nodes]
+        left, right = stack.left[nodes], stack.right[nodes]
+        for child in (left, right):
+            lo[child], hi[child] = lo[nodes], hi[nodes]
+        hi[left, f] = np.minimum(hi[left, f], t)
+        lo[right, f] = np.maximum(lo[right, f], t)
+        nodes = np.concatenate([left, right])
+    leaf = stack.leaf
+    return lo[leaf], hi[leaf], model.value_[leaf][:, cols] / len(stack.roots)
 
 
 def _leaf_shares(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -297,12 +282,11 @@ def _tree_shap(
 def _read_features(model, p: int) -> np.ndarray:
     """Mask of the features a model's output can depend on: the split
     features of a tree ensemble, every feature for other models."""
-    trees = getattr(model, "trees_", None)
-    if not trees or not all(hasattr(t, "feature_") for t in trees):
+    stack = getattr(model, "_stack", None)
+    if stack is None:
         return np.ones(p, dtype=bool)
     read = np.zeros(p, dtype=bool)
-    for t in trees:
-        read[t.feature_[t.feature_ >= 0]] = True
+    read[stack.feature[~stack.leaf]] = True
     return read
 
 

@@ -18,7 +18,6 @@ from ..fusion import FusionError, RankTable, read_rank_table
 
 DATASETS = ("veremi_binary", "sensor", "veremi_multiclass")
 XAI_METHODS = ("shap", "lime", "dalex")
-RANK_TABLE_NAMES = tuple(f"{d}_{m}" for d in DATASETS for m in XAI_METHODS)
 
 # top-k used by the reference columns: 4 features for VeReMi, 5 for Sensor
 REFERENCE_TOP_K = {"veremi_binary": 4, "sensor": 5, "veremi_multiclass": 4}

@@ -73,8 +73,8 @@ class FusionSpec:
         object.__setattr__(self, "points", points)
         if self.mode not in ("weighted_points", "mean_rank"):
             raise FusionError(f"unknown fusion mode: {self.mode!r}")
-        if len(points) == 0 or any(x < 0 for x in points):
-            raise FusionError("points must be non-negative and non-empty")
+        if len(points) == 0 or not all(0 <= x < np.inf for x in points):
+            raise FusionError("points must be finite, non-negative and non-empty")
         if any(a < b for a, b in zip(points, points[1:])):
             raise FusionError("points must be non-increasing")
         if self.top_k < 1:
@@ -134,20 +134,25 @@ def fuse_ranks(table: RankTable, spec: FusionSpec) -> FusedRanking:
 
 def two_level_fuse(
     tables: dict[str, RankTable], spec: FusionSpec
-) -> tuple[dict[str, FusedRanking], FusedRanking]:
+) -> dict[str, FusedRanking]:
+    """Each table's level-1 fusion under the table's name, in table order,
+    then the level-2 fusion of those under "leveled". Every consumer takes
+    this mapping as it is, so a table may not itself be named "leveled"."""
     if not tables:
         raise FusionError("need at least one rank table")
+    if "leveled" in tables:
+        raise FusionError('a rank table may not be named "leveled"')
     rosters = {t.feature_names for t in tables.values()}
     if len(rosters) != 1:
         raise FusionError("rank tables disagree on the feature roster")
-    per_method = {name: fuse_ranks(t, spec) for name, t in tables.items()}
-    methods = list(tables)
+    fused = {name: fuse_ranks(t, spec) for name, t in tables.items()}
     level2 = RankTable(
         feature_names=next(iter(rosters)),
-        sources=tuple(methods),
-        ranks=np.column_stack([to_ranks(per_method[m].scores) for m in methods]),
+        sources=tuple(fused),
+        ranks=np.column_stack([to_ranks(f.scores) for f in fused.values()]),
     )
-    return per_method, fuse_ranks(level2, spec)
+    fused["leveled"] = fuse_ranks(level2, spec)
+    return fused
 
 
 def top_k(fused: FusedRanking, k: int) -> list[TopFeature]:
@@ -212,13 +217,11 @@ def write_fused(fused: FusedRanking, path: str | Path) -> None:
     )
 
 
-def write_fusion(
-    per_method: dict[str, FusedRanking], leveled: FusedRanking, out: Path, prefix: str
-) -> list[str]:
-    """Write `<prefix><method>.csv` for each method, then
-    `<prefix>leveled.csv`, under `out`; return the file names in that order."""
-    names = []
-    for method, fused in [*per_method.items(), ("leveled", leveled)]:
-        names.append(f"{prefix}{method}.csv")
-        write_fused(fused, out / names[-1])
+def write_fusion(fused: dict[str, FusedRanking], out: Path, prefix: str) -> list[str]:
+    """Write `<prefix><name>.csv` under `out` for each named ranking, such
+    as the mapping that `two_level_fuse` returns; return the file names in
+    the mapping's order."""
+    names = [f"{prefix}{name}.csv" for name in fused]
+    for name, ranking in zip(names, fused.values()):
+        write_fused(ranking, out / name)
     return names

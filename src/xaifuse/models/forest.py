@@ -53,14 +53,15 @@ class RandomForest(ProbaClassifier):
             ).fit(xt, yt)
             self.trees_.append(tree)
         self._stack = TreeStack(self.trees_)
-        # bootstrap samples can miss rare classes; align by label
-        self._values = np.zeros((len(self._stack.feature), len(self.classes_)))
+        # value_ is each stacked node's class distribution over classes_;
+        # bootstrap samples can miss rare classes, so align by label
+        self.value_ = np.zeros((len(self._stack.feature), len(self.classes_)))
         for tree, root in zip(self.trees_, self._stack.roots):
             cols = np.searchsorted(self.classes_, tree.classes_)
-            self._values[root : root + tree.node_count, cols] = tree.value_
+            self.value_[root : root + tree.node_count, cols] = tree.value_
         return self
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         out = np.zeros((X.shape[0], len(self.classes_)))
-        return self._stack.tree_sum(X, self._values, out) / len(self.trees_)
+        return self._stack.tree_sum(X, self.value_, out) / len(self.trees_)

@@ -325,14 +325,15 @@ def _end_to_end(arrays: list[np.ndarray], dtype) -> np.ndarray:
 
 class TreeStack:
     """The node arrays of fitted trees, concatenated: node i of tree t is
-    stacked node roots[t] + i. A leaf is its own child on both sides and
-    splits on feature 0, so a walk may step past it and stay put."""
+    stacked node roots[t] + i, and leaf marks the leaves. A leaf is its own
+    child on both sides and splits on feature 0, so a walk may step past it
+    and stay put."""
 
     def __init__(self, trees: list[DecisionTree]):
         sizes = np.array([t.node_count for t in trees], dtype=np.int64)
         self.roots = np.cumsum(sizes) - sizes
         feature = _end_to_end([t.feature_ for t in trees], np.int64)
-        leaf = feature < 0
+        self.leaf = leaf = feature < 0
         ids = np.arange(len(feature))
         offset = np.repeat(self.roots, sizes)
         self.feature = np.where(leaf, 0, feature)

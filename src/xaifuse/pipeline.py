@@ -71,7 +71,7 @@ from .models import (
     resolve_params,
     train_model,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed, subsample
 
 
 class ConfigError(Exception):
@@ -439,12 +439,8 @@ def _train_all(cfg: PipelineConfig, train: Dataset) -> dict[str, Any]:
 def _explanation_rows(
     cfg: PipelineConfig, train: Dataset
 ) -> tuple[np.ndarray, np.ndarray]:
-    n = train.n_rows
     size = cfg.explainer.max_explained_instances
-    if n <= size:
-        return train.rows, train.labels
-    idx = rng_for(cfg.seed, "explain-rows").choice(n, size=size, replace=False)
-    idx = np.sort(idx)
+    idx = subsample(train.n_rows, size, cfg.seed, "explain-rows")
     return train.rows[idx], train.labels[idx]
 
 
@@ -536,17 +532,16 @@ def _emit_run_report(
     test: Dataset,
     by_method: dict[str, list[ImportanceVector]],
     tables: dict[str, RankTable],
-    per_method: dict[str, FusedRanking],
-    leveled: FusedRanking,
+    fused: dict[str, FusedRanking],
     feature_sets: dict[str, list[str]],
     results: dict[str, dict[str, dict]],
 ) -> list[str]:
     all_vectors = [v for vs in by_method.values() for v in vs]
     write_importance_csv(out / "importances.csv", schema.feature_names, all_vectors)
-    ranks = [f"ranks_{method}.csv" for method in tables]
-    for name, table in zip(ranks, tables.values()):
+    csvs = [f"ranks_{method}.csv" for method in tables]
+    for name, table in zip(csvs, tables.values()):
         write_rank_table(table, out / name)
-    fused = write_fusion(per_method, leveled, out, "fused_")
+    csvs += write_fusion(fused, out, "fused_")
 
     # canonical JSON sorts map keys, so the display order travels as lists
     write_json(
@@ -570,7 +565,7 @@ def _emit_run_report(
     # no fixture comparison applies to user or generated data
     write_json(out / "conformance.json", None)
     write_text(out / "summary.md", render_summary_from_artifacts(out))
-    return ["importances.csv", *ranks, *fused, "metrics.json", "conformance.json", "summary.md"]
+    return ["importances.csv", *csvs, "metrics.json", "conformance.json", "summary.md"]
 
 
 def _run_summary_lines(metrics: dict) -> list[str]:
@@ -674,8 +669,8 @@ def run_fixture_conformance(out_dir: str | Path):
     report = clock.run("conformance", lambda: conformance_check(computed))
 
     artifacts = ["conformance.json", "summary.md"]
-    for dataset, (per_method, leveled) in computed.items():
-        artifacts += write_fusion(per_method, leveled, out, f"fused_{dataset}_")
+    for dataset, fused in computed.items():
+        artifacts += write_fusion(fused, out, f"fused_{dataset}_")
     write_json(out / "conformance.json", asdict(report))
     write_text(out / "summary.md", render_summary_from_artifacts(out))
 
@@ -706,16 +701,13 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
         "explain", lambda: _explain_all(cfg, models, train, rows, labels)
     )
     tables = clock.run("rank", lambda: _rank_tables(dataset.schema, by_method))
-    per_method, leveled = clock.run(
-        "fuse", lambda: two_level_fuse(tables, cfg.fusion)
-    )
+    fused = clock.run("fuse", lambda: two_level_fuse(tables, cfg.fusion))
 
     feature_sets: dict[str, list[str]] = {
         "all_features": list(dataset.schema.feature_names)
     }
-    for method, fused in per_method.items():
-        feature_sets[method] = [f.name for f in top_k(fused, cfg.fusion.top_k)]
-    feature_sets["leveled"] = [f.name for f in top_k(leveled, cfg.fusion.top_k)]
+    for name, ranking in fused.items():
+        feature_sets[name] = [f.name for f in top_k(ranking, cfg.fusion.top_k)]
 
     results = clock.run(
         "evaluate", lambda: _evaluate_sets(cfg, train, test, feature_sets)
@@ -731,8 +723,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
             test,
             by_method,
             tables,
-            per_method,
-            leveled,
+            fused,
             feature_sets,
             results,
         ),

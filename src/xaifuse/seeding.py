@@ -30,3 +30,11 @@ def derive_seed(master: int, *parts: object) -> int:
 def rng_for(master: int, *parts: object) -> np.random.Generator:
     """Generator seeded with `derive_seed(master, *parts)`."""
     return np.random.default_rng(derive_seed(master, *parts))
+
+
+def subsample(n: int, size: int, master: int, *parts: object) -> np.ndarray:
+    """Every index of n rows if n <= size, else the sorted indices of `size`
+    rows drawn without replacement from `rng_for(master, *parts)`."""
+    if n <= size:
+        return np.arange(n)
+    return np.sort(rng_for(master, *parts).choice(n, size=size, replace=False))

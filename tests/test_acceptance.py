@@ -64,12 +64,9 @@ def test_c1_reference_table_fusion(capsys):
     with verdict(capsys, 1, "reference-table fusion conformance"):
         t0 = perf_counter()
         spec = FusionSpec(points=(3.0, 2.0, 1.0), top_k=4)
-        binary_methods, binary_leveled = two_level_fuse(
-            load_rank_fixtures("veremi_binary"), spec
-        )
-        _, multi_leveled = two_level_fuse(
-            load_rank_fixtures("veremi_multiclass"), spec
-        )
+        binary_methods = two_level_fuse(load_rank_fixtures("veremi_binary"), spec)
+        binary_leveled = binary_methods["leveled"]
+        multi_leveled = two_level_fuse(load_rank_fixtures("veremi_multiclass"), spec)["leveled"]
 
         names = lambda fused, k: tuple(f.name for f in top_k(fused, k))
         assert set(names(binary_leveled, 4)) == {"pos_x", "pos_y", "spd_x", "spd_y"}

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from xaifuse.fixtures import (
     DATASETS,
-    RANK_TABLE_NAMES,
     REFERENCE_TOP_K,
     XAI_METHODS,
     load_rank_fixture,
@@ -30,6 +29,7 @@ from xaifuse.fusion import (
 )
 
 VEREMI = ("pos_x", "pos_y", "pos_z", "spd_x", "spd_y", "spd_z")
+RANK_TABLE_NAMES = tuple(f"{d}_{m}" for d in DATASETS for m in XAI_METHODS)
 
 
 # -- independent oracles ----------------------------------------------------
@@ -158,6 +158,11 @@ class TestFusionSpec:
     def test_negative_points_rejected(self):
         with pytest.raises(FusionError, match="non-negative"):
             FusionSpec(points=(3, -1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(FusionError, match="finite"):
+            FusionSpec(points=(bad, 2, 1))
 
     def test_empty_points_rejected(self):
         with pytest.raises(FusionError):
@@ -331,7 +336,8 @@ class TestFusionProperties:
 class TestTwoLevelFuse:
     def test_veremi_binary_leveled(self):
         tables = load_rank_fixtures("veremi_binary")
-        per_method, leveled = two_level_fuse(tables, FusionSpec(top_k=4))
+        per_method = two_level_fuse(tables, FusionSpec(top_k=4))
+        leveled = per_method.pop("leveled")
         assert set(per_method) == set(XAI_METHODS)
         by_name = dict(zip(VEREMI, leveled.scores))
         assert by_name == {
@@ -348,7 +354,7 @@ class TestTwoLevelFuse:
 
     def test_veremi_multiclass_leveled(self):
         tables = load_rank_fixtures("veremi_multiclass")
-        _, leveled = two_level_fuse(tables, FusionSpec(top_k=4))
+        leveled = two_level_fuse(tables, FusionSpec(top_k=4))["leveled"]
         chosen = [f.name for f in top_k(leveled, 4)]
         assert set(chosen) == {"pos_x", "pos_y", "spd_x", "spd_y"}
         assert chosen == ["pos_x", "pos_y", "spd_x", "spd_y"]
@@ -360,7 +366,7 @@ class TestTwoLevelFuse:
         tables = {
             m: RankTable(names, (f"{m}-src",), base) for m in ("x", "y", "z")
         }
-        _, leveled = two_level_fuse(tables, FusionSpec(top_k=3))
+        leveled = two_level_fuse(tables, FusionSpec(top_k=3))["leveled"]
         order = [names[i] for i in leveled.ordering]
         # nonzero-score features keep the common order; d scores 0 everywhere
         assert order[:3] == ["b", "a", "c"]
@@ -371,7 +377,7 @@ class TestTwoLevelFuse:
         # reference column disagrees with its own per-model table, so the
         # conformance harness records a mismatch for it rather than equality
         tables = load_rank_fixtures("sensor")
-        _, leveled = two_level_fuse(tables, FusionSpec(top_k=5))
+        leveled = two_level_fuse(tables, FusionSpec(top_k=5))["leveled"]
         chosen = [f.name for f in top_k(leveled, 5)]
         assert chosen == [
             "Location",
@@ -399,7 +405,7 @@ class TestTwoLevelFuse:
                     tuple(f"s{m}_{j}" for j in range(cols.shape[1])),
                     cols,
                 )
-            _, leveled = two_level_fuse(tables, FusionSpec(top_k=1))
+            leveled = two_level_fuse(tables, FusionSpec(top_k=1))["leveled"]
             assert list(leveled.scores) == two_level_place_counter(tables)
 
     def test_roster_mismatch_rejected(self):
@@ -411,6 +417,20 @@ class TestTwoLevelFuse:
     def test_empty_table_map_rejected(self):
         with pytest.raises(FusionError):
             two_level_fuse({}, FusionSpec())
+
+    def test_maps_each_table_then_leveled_in_order(self):
+        tables = load_rank_fixtures("sensor")
+        fused = two_level_fuse(tables, FusionSpec(top_k=5))
+        assert list(fused) == [*tables, "leveled"]
+        for name, table in tables.items():
+            expected = fuse_ranks(table, FusionSpec(top_k=5)).scores
+            np.testing.assert_array_equal(fused[name].scores, expected)
+
+    def test_table_named_leveled_rejected(self):
+        tables = load_rank_fixtures("sensor")
+        tables["leveled"] = tables.pop("dalex")
+        with pytest.raises(FusionError, match="leveled"):
+            two_level_fuse(tables, FusionSpec(top_k=5))
 
 
 class TestTopK:

@@ -421,6 +421,29 @@ def test_unreadable_input_exits_with_one_line(tmp_path, capsys, entry, content, 
         assert not out.exists()
 
 
+# JSON numbers that RFC 8259 does not have, which Python's json module reads
+NON_FINITE = {
+    "points NaN": (("fusion", "points"), [float("nan"), 2, 1]),
+    "learning_rate Infinity": (("models",), {"mlp": {"learning_rate": float("inf")}}),
+    "seed -Infinity": (("seed",), float("-inf")),
+}
+
+
+@pytest.mark.parametrize("where, value", NON_FINITE.values(), ids=list(NON_FINITE))
+def test_non_finite_config_number_exits_2_before_writing(tmp_path, capsys, where, value):
+    cfg = tiny_config(tmp_path / "out")
+    section = cfg
+    for key in where[:-1]:
+        section = section[key]
+    section[where[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))  # writes NaN, Infinity, -Infinity
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "is not valid JSON" in err
+    assert not (tmp_path / "out").exists()
+
+
 # entry point, and whether the path it cannot write is an existing directory
 # (or else an existing file)
 UNWRITABLE = {
@@ -760,7 +783,10 @@ class TestCli:
         assert "leveled: pos_x, spd_y, pos_y, spd_x" in out
         assert (tmp_path / "fused_leveled.csv").exists()
 
-    @pytest.mark.parametrize("flags", [["--points", "1,2,3"], ["--top-k", "0"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--points", "1,2,3"], ["--top-k", "0"], ["--points", "nan,2,1"], ["--points", "inf,2,1"]],
+    )
     def test_fuse_bad_flags_exit_2(self, tmp_path, capsys, flags):
         from xaifuse.fixtures import fixture_path
 
@@ -798,6 +824,30 @@ class TestCli:
         ragged.write_text("feature,m1,m2\nb,2\n")
         assert main(["fuse", str(ragged), "--out", str(tmp_path)]) == 3
         assert "line 2" in capsys.readouterr().err
+
+    def test_fuse_one_table_writes_only_its_fusion(self, tmp_path, capsys):
+        table = tmp_path / "leveled.csv"
+        table.write_bytes(fixture_path("sensor_shap").read_bytes())
+        out = tmp_path / "o"
+        assert main(["fuse", str(table), "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["fused_leveled.csv"]
+        assert capsys.readouterr().out.startswith("leveled: ")
+
+    @pytest.mark.parametrize("names", [("shap", "leveled"), ("a/shap", "b/shap")])
+    def test_fuse_ambiguous_table_names_exit_3(self, tmp_path, capsys, names):
+        # each table's fusion and the leveled one must get their own file
+        paths = []
+        for name, method in zip(names, ("shap", "lime")):
+            path = tmp_path / f"{name}.csv"
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(fixture_path(f"sensor_{method}").read_bytes())
+            paths.append(str(path))
+        out = tmp_path / "o"
+        assert main(["fuse", *paths, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_fixtures_source_kind_exits_2(self, tmp_path, capsys):
         # the shipped tables are judged by `xaifuse conformance` alone
@@ -841,6 +891,13 @@ class TestCli:
         assert main(["report", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert f"{name} is not valid JSON" in err
+
+    @pytest.mark.parametrize("name", ["metrics.json", "conformance.json"])
+    def test_report_on_a_non_finite_number_exits_3(self, tmp_path, capsys, name):
+        (tmp_path / name).write_text('{"passed": Infinity}')
+        assert main(["report", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{name} is not valid JSON: Infinity is not a JSON number" in err
 
     @pytest.mark.parametrize("name", ["metrics.json", "conformance.json"])
     def test_report_on_a_document_that_is_not_an_object_exits_3(self, tmp_path, capsys, name):
