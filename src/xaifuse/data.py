@@ -372,6 +372,11 @@ def generate_sensor_dataset(
     """
     if n < 2:
         raise DataError("need n >= 2")
+    if not 0.0 < anomaly_fraction < 1.0:
+        raise DataError(
+            "anomaly fraction must lie strictly between 0 and 1, "
+            f"got {anomaly_fraction}"
+        )
     n_anom = int(round(n * anomaly_fraction))
     if n_anom <= 0 or n_anom >= n:
         raise DataError(

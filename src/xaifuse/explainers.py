@@ -7,16 +7,17 @@ explained instance. v is linear in the background rows, so the values are
 the mean over rows b of the Shapley values of the game v_b(S) of one
 (instance, b) pair. Both paths below compute those exactly, so the axioms
 (efficiency, dummy, symmetry) hold to floating-point precision rather than
-in expectation, and both refuse more than `exact_cap` features:
+in expectation:
 
 - decision trees and random forests take interventional TreeSHAP
   (Lundberg et al., Nat. Mach. Intell. 2020): each leaf is a box, and its
   value is shared out among the path features that separate the instance
-  from b, without scoring any coalition row;
+  from b, without scoring any coalition row, so it takes any feature count;
 - every other model takes a reduced coalition enumeration. In v_b only the
   features that the model reads and on which the instance and b differ are
   players; every other feature is a dummy. So only the 2^m hybrid rows of
-  those m players are scored, in blocks of at most ROW_BUDGET rows.
+  those m players are scored, in blocks of at most ROW_BUDGET rows. A pair
+  with more than MAX_PLAYERS players is refused before any row is scored.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .seeding import rng_for, subsample
 # ROW_BUDGET x p floats; TreeSHAP blocks hold at most ROW_BUDGET
 # (instance, background row, leaf) cells
 ROW_BUDGET = 1 << 14
+# players per (instance, background row) pair of the coalition enumeration,
+# so a pair scores at most 2^MAX_PLAYERS rows
+MAX_PLAYERS = 16
 
 
 class ExplainError(Exception):
@@ -56,10 +60,8 @@ class ExplainerConfig:
     background_size: int = 100
     lime_samples_per_instance: int = 1000
     lime_kernel_width: float | None = None  # None resolves to 0.75 * sqrt(p)
-    lime_instances: int = 2000
     lime_ridge: float = 1e-3
     permutation_rounds: int = 10
-    shap_exact_cap: int = 16
 
     def __post_init__(self) -> None:
         names = set(self.methods)
@@ -72,9 +74,7 @@ class ExplainerConfig:
             self.max_explained_instances,
             self.background_size,
             self.lime_samples_per_instance,
-            self.lime_instances,
             self.permutation_rounds,
-            self.shap_exact_cap,
         )
         if any(c < 1 for c in counts):
             raise ExplainError("all explainer counts must be positive")
@@ -152,15 +152,11 @@ def _coalition_weights(p: int) -> np.ndarray:
     )
 
 
-def shap_values(
-    model,
-    instances: np.ndarray,
-    background: np.ndarray,
-    exact_cap: int = 16,
-) -> ShapMatrix:
+def shap_values(model, instances: np.ndarray, background: np.ndarray) -> ShapMatrix:
     """Exact interventional Shapley values: TreeSHAP for decision trees and
-    random forests, reduced coalition enumeration for every other model.
-    The result is deterministic, so no seed is taken."""
+    random forests, reduced coalition enumeration for every other model,
+    which refuses a pair with more than MAX_PLAYERS players. The result is
+    deterministic, so no seed is taken."""
     X = np.asarray(instances, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
@@ -170,11 +166,6 @@ def shap_values(
     n, p = X.shape
     if bg.shape[1] != p:
         raise ExplainError("background and instances disagree on feature count")
-    if p > exact_cap:
-        raise ExplainError(
-            f"{p} features exceed the exact enumeration cap of {exact_cap}; "
-            "subsample features or raise the cap explicitly"
-        )
 
     cols = _target_columns(model)
     outputs = model.predict_proba(X)[:, cols]
@@ -300,6 +291,12 @@ def _coalition_shap(
     n, p = X.shape
     n_bg = bg.shape[0]
     players = (X[:, None, :] != bg[None, :, :]) & _read_features(model, p)
+    most = int(players.sum(axis=2).max(initial=0))
+    if most > MAX_PLAYERS:
+        raise ExplainError(
+            f"an (instance, background row) pair has {most} players, above the "
+            f"exact enumeration cap of {MAX_PLAYERS}"
+        )
     sets, group = np.unique(players.reshape(-1, p), axis=0, return_inverse=True)
     group = group.reshape(-1)
     ends = np.cumsum(np.bincount(group, minlength=len(sets)))
@@ -427,18 +424,18 @@ def lime_global(
     seed: int,
     model_tag: str = "",
 ) -> ImportanceVector:
-    """Mean absolute surrogate coefficient over the first lime_instances
-    rows, perturbed with the training split's per-feature sd. Fails loudly
-    if more than 10% of instances cannot be explained."""
+    """Mean absolute surrogate coefficient over every row, perturbed with
+    the training split's per-feature sd. Fails loudly if more than 10% of
+    instances cannot be explained."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ExplainError("need a non-empty 2-d array of rows to explain")
-    n_explain = min(cfg.lime_instances, rows.shape[0])
-    acc = np.zeros(rows.shape[1])
+    n_explain, p = rows.shape
+    acc = np.zeros(p)
     failures = 0
-    for i in range(n_explain):
+    for i, row in enumerate(rows):
         try:
-            coef = lime_explain_instance(model, rows[i], sd, cfg, seed, i)
+            coef = lime_explain_instance(model, row, sd, cfg, seed, i)
         except ExplainError:
             failures += 1
             continue

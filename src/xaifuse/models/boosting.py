@@ -8,7 +8,7 @@ ensemble identical to that tree.
 
 GradientBoosting fits regression trees to logistic-loss residuals and
 replaces each leaf's mean with a Newton step (sum of residuals over sum of
-hessians). Multiclass trains one booster per class and normalizes.
+hessians). Multiclass trains one scorer per class and normalizes.
 """
 
 from __future__ import annotations
@@ -90,46 +90,6 @@ class AdaBoost:
         return self.classes_[np.argmax(self.decision_function(X), axis=1)]
 
 
-class _BinaryBooster:
-    """Additive stage list for a single sigmoid output."""
-
-    def __init__(self, n_estimators, learning_rate, max_depth, min_samples_leaf):
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-
-    def fit(self, X: np.ndarray, y01: np.ndarray, presorted) -> "_BinaryBooster":
-        pos = y01.mean()
-        pos = min(max(pos, 1e-12), 1.0 - 1e-12)
-        self.prior_ = float(np.log(pos / (1.0 - pos)))
-        f = np.full(X.shape[0], self.prior_)
-        self.trees_: list[DecisionTree] = []
-        for _ in range(self.n_estimators):
-            p = sigmoid(f)
-            residual = y01 - p
-            tree = DecisionTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-            ).fit_regression(X, residual, _presorted=presorted)
-            leaves = tree.apply(X)
-            uniq = np.unique(leaves)
-            num = np.bincount(leaves, weights=residual, minlength=tree.node_count)
-            den = np.bincount(leaves, weights=p * (1.0 - p), minlength=tree.node_count)
-            newton = num[uniq] / np.maximum(den[uniq], 1e-12)
-            tree.value_[uniq, 0] = newton
-            self.trees_.append(tree)
-            f += self.learning_rate * tree.value_[leaves, 0]
-        self._stack = TreeStack(self.trees_)
-        self._steps = self.learning_rate * _end_to_end(
-            [t.value_[:, 0] for t in self.trees_], np.float64
-        )
-        return self
-
-    def raw_score(self, X: np.ndarray) -> np.ndarray:
-        return self._stack.tree_sum(X, self._steps, np.full(X.shape[0], self.prior_))
-
-
 class GradientBoosting(ProbaClassifier):
     def __init__(
         self,
@@ -146,20 +106,43 @@ class GradientBoosting(ProbaClassifier):
         self.min_samples_leaf = min_samples_leaf
 
     def fit(self, X, y) -> "GradientBoosting":
+        """One additive stage list per one-vs-rest scorer: its prior
+        log-odds, its trees and their leaf steps."""
         X = np.asarray(X, dtype=np.float64)
         self.classes_, targets = ovr_targets(y)
         presorted = _presort(X)
-        self._boosters = [
-            _BinaryBooster(
-                self.n_estimators,
-                self.learning_rate,
-                self.max_depth,
-                self.min_samples_leaf,
-            ).fit(X, t, presorted)
-            for t in targets
-        ]
+        self.priors_, self.trees_, self._stacks, self._steps = [], [], [], []
+        for y01 in targets:
+            pos = min(max(y01.mean(), 1e-12), 1.0 - 1e-12)
+            prior = float(np.log(pos / (1.0 - pos)))
+            f = np.full(X.shape[0], prior)
+            trees = []
+            for _ in range(self.n_estimators):
+                p = sigmoid(f)
+                residual = y01 - p
+                tree = DecisionTree(
+                    max_depth=self.max_depth,
+                    min_samples_leaf=self.min_samples_leaf,
+                ).fit_regression(X, residual, _presorted=presorted)
+                leaves = tree.apply(X)
+                uniq = np.unique(leaves)
+                size = tree.node_count
+                num = np.bincount(leaves, weights=residual, minlength=size)
+                den = np.bincount(leaves, weights=p * (1.0 - p), minlength=size)
+                tree.value_[uniq, 0] = num[uniq] / np.maximum(den[uniq], 1e-12)
+                trees.append(tree)
+                f += self.learning_rate * tree.value_[leaves, 0]
+            self.priors_.append(prior)
+            self.trees_.append(trees)
+            self._stacks.append(TreeStack(trees))
+            steps = _end_to_end([t.value_[:, 0] for t in trees], np.float64)
+            self._steps.append(self.learning_rate * steps)
         return self
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        return ovr_proba(np.column_stack([b.raw_score(X) for b in self._boosters]))
+        raw = [
+            stack.tree_sum(X, steps, np.full(X.shape[0], prior))
+            for prior, stack, steps in zip(self.priors_, self._stacks, self._steps)
+        ]
+        return ovr_proba(np.column_stack(raw))

@@ -66,7 +66,11 @@ class KnnClassifier(ProbaClassifier):
         if self.p == 2.0:
             d = _sq_distances(q, self._x, sq_train)
         else:
-            d = (np.abs(q[:, None, :] - self._x[None, :, :]) ** self.p).sum(axis=2)
+            d = np.zeros((len(q), len(self._x)))
+            for j in range(q.shape[1]):  # one feature at a time: no p-fold temporary
+                term = np.abs(np.subtract.outer(q[:, j], self._x[:, j]))
+                term **= self.p
+                d += term
         k = self.n_neighbors
         if k < d.shape[1]:
             return self._yi[np.argpartition(d, k - 1, axis=1)[:, :k]]

@@ -316,8 +316,9 @@ _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 def _typed(value: Any, hint: Any, name: str) -> Any:
     """`value` if it has the JSON type that the annotation `hint` names: an
     integer is never a boolean, a number may be written as an integer, a
-    tuple is written as a list and a dataclass as a section. A union such as
-    `X | None` or `float | str` takes a value of any of its types."""
+    tuple is written as a list and a dataclass as a section, and a number
+    is finite. A union such as `X | None` or `float | str` takes a value of
+    any of its types."""
     if is_dataclass(hint):
         return _built(hint, name, _entries(hint, value, name))
     options = get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
@@ -332,6 +333,8 @@ def _typed(value: Any, hint: Any, name: str) -> Any:
     if not any(_is_json_type(value, o) for o in options):
         wanted = " or ".join(_JSON_TYPES[o] for o in options)
         raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -465,7 +468,7 @@ def _explain_all(
             seed = derive_seed(cfg.seed, "explain", method, tag)  # shap takes none
             t0 = time.perf_counter()
             if method == "shap":
-                values = shap_values(model, rows, background, settings.shap_exact_cap)
+                values = shap_values(model, rows, background)
                 vector = shap_global(values, model_tag=tag)
             elif method == "lime":
                 vector = lime_global(model, rows, train_sd, settings, seed, model_tag=tag)

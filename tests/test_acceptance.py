@@ -283,7 +283,7 @@ def test_c4_planted_signal_explainers(capsys):
                 model,
                 rows,
                 train.rows.std(axis=0),
-                ExplainerConfig(lime_samples_per_instance=500, lime_instances=40),
+                ExplainerConfig(lime_samples_per_instance=500),
                 derive_seed(1234, "lime"),
             ),
             "permutation": permutation_importance(

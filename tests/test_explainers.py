@@ -196,6 +196,22 @@ class TestShapEfficiency:
         expected_base = model.predict_proba(background)[:, 1].mean()
         np.testing.assert_allclose(res.base_values[:, 0], expected_base, atol=1e-9)
 
+    @pytest.mark.parametrize("family", ["random_forest", "decision_tree", "adaboost"])
+    def test_more_features_than_the_player_cap(self, family):
+        # TreeSHAP takes any feature count; a three-round depth-2 AdaBoost
+        # reads at most 9 of the 24 features, so no pair has more players
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(200, 24))
+        y = (X[:, 0] + X[:, 5] - X[:, 17] > 0).astype(int)
+        model = {
+            "random_forest": lambda: RandomForest(n_estimators=20, max_depth=6, seed=1),
+            "decision_tree": lambda: DecisionTree(max_depth=6),
+            "adaboost": lambda: AdaBoost(n_estimators=3, base_max_depth=2),
+        }[family]().fit(X, y)
+        res = shap_values(model, X[:20], X[100:120])
+        gap = np.abs(res.values.sum(axis=2) + res.base_values - res.outputs)
+        assert gap.max() <= 1e-9
+
     def test_multiclass_one_slice_per_class(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(90, 4))
@@ -211,21 +227,16 @@ class TestShapEfficiency:
 
 class TestShapErrors:
     def test_feature_cap(self):
+        # the model reads every feature and the rows differ on all 17, so
+        # the pair has 17 players
         model = FnModel(lambda z: z[:, 0])
         with pytest.raises(ExplainError, match="cap"):
-            shap_values(model, np.zeros((1, 17)), np.zeros((1, 17)))
+            shap_values(model, np.ones((1, 17)), np.zeros((1, 17)))
 
     def test_empty_background(self):
         model = FnModel(lambda z: z[:, 0])
         with pytest.raises(ExplainError, match="background"):
             shap_values(model, np.zeros((1, 2)), np.zeros((0, 2)))
-
-    def test_raised_cap_allows_more_features(self):
-        model = FnModel(lambda z: z[:, 0])
-        res = shap_values(
-            model, np.ones((1, 17)), np.zeros((1, 17)), exact_cap=17
-        )
-        np.testing.assert_allclose(res.values[0, 0, 0], 1.0, atol=1e-9)
 
 
 def on_thresholds(model, rng, n, p):
@@ -451,7 +462,7 @@ class TestLime:
         rng = np.random.default_rng(11)
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-(z[:, 0] + 0.5 * z[:, 1]))))
         rows = rng.normal(size=(6, 2))
-        cfg = ExplainerConfig(lime_instances=6, lime_samples_per_instance=500)
+        cfg = ExplainerConfig(lime_samples_per_instance=500)
         sd = np.array([1.0, 2.0])
         iv = lime_global(model, rows, sd, cfg, 2, model_tag="stub")
         acc = np.zeros(2)
@@ -468,24 +479,12 @@ class TestLime:
             model,
             rows,
             np.ones(3),
-            ExplainerConfig(lime_instances=15, lime_samples_per_instance=800),
+            ExplainerConfig(lime_samples_per_instance=800),
             3,
         )
         np.testing.assert_array_equal(
             to_ranks(iv.scores), to_ranks(np.abs(weights))
         )
-
-    def test_global_uses_first_n_rows(self):
-        model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-z[:, 0])))
-        rng = np.random.default_rng(17)
-        rows = rng.normal(size=(30, 2))
-        cfg = ExplainerConfig(lime_instances=5, lime_samples_per_instance=300)
-        sd = np.ones(2)
-        a = lime_global(model, rows, sd, cfg, 4)
-        b = lime_global(model, rows[:5], sd, cfg, 4)
-        # the perturbation scale is passed in, so rows past the first
-        # lime_instances cannot change the result
-        np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_constant_feature_gets_zero_coefficient(self):
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-z[:, 0])))
@@ -499,7 +498,7 @@ class TestLime:
         # perturbing with the training sd lets the surrogate see its effect
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-(z[:, 0] + z[:, 1]))))
         rows = np.column_stack([np.linspace(-1.0, 1.0, 8), np.zeros(8)])
-        cfg = ExplainerConfig(lime_instances=8, lime_samples_per_instance=500)
+        cfg = ExplainerConfig(lime_samples_per_instance=500)
         iv = lime_global(model, rows, np.ones(2), cfg, 10)
         assert iv.scores[1] > 0.5 * iv.scores[0] > 0.0
 
@@ -522,8 +521,8 @@ class TestModelRows:
         y = rng.integers(0, n_classes, 60)
         model = DecisionTree(max_depth=3).fit(X, y)
         seen = self.counted(model)
-        cfg = ExplainerConfig(lime_instances=5, lime_samples_per_instance=40)
-        iv = lime_global(model, X[:8], X.std(axis=0), cfg, 1)
+        cfg = ExplainerConfig(lime_samples_per_instance=40)
+        iv = lime_global(model, X[:5], X.std(axis=0), cfg, 1)
         assert iv.model_rows == sum(seen) == 5 * (40 + (n_classes > 2))
         seen.clear()
         iv = permutation_importance(model, X[:8], y[:8], rounds=2, seed=1)

@@ -18,7 +18,7 @@ from xaifuse.models import (
     train_model,
 )
 from xaifuse.models import knn, tree
-from xaifuse.models.ovr import ovr_targets
+from xaifuse.models.ovr import ovr_proba, ovr_targets
 from xaifuse.models.svm import _BinarySvm, _rbf
 from xaifuse.seeding import derive_seed
 
@@ -566,11 +566,15 @@ class TestStackedWalk:
         X = rng.normal(size=(70, 3))
         y = rng.integers(0, 3, 70)
         model = GradientBoosting(n_estimators=6, learning_rate=0.3, max_depth=3).fit(X, y)
-        for booster in model._boosters:
-            want = np.full(len(X), booster.prior_)
-            for t in booster.trees_:
-                want += booster.learning_rate * t.value_[per_tree_apply(t, X), 0]
-            np.testing.assert_array_equal(booster.raw_score(X), want)
+        raw = []
+        for prior, trees in zip(model.priors_, model.trees_):
+            want = np.full(len(X), prior)
+            for t in trees:
+                want += model.learning_rate * t.value_[per_tree_apply(t, X), 0]
+            raw.append(want)
+        np.testing.assert_array_equal(
+            model.predict_proba(X), ovr_proba(np.column_stack(raw))
+        )
 
     def test_row_blocks_do_not_change_the_sums(self, monkeypatch):
         rng = np.random.default_rng(61)
@@ -632,6 +636,22 @@ class TestKnn:
             want = (q**2).sum(axis=1)[:, None] - 2.0 * q @ x.T + sq
             np.maximum(want, 0.0, out=want)
             np.testing.assert_array_equal(knn._sq_distances(q, x, sq), want)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_minkowski_matches_bruteforce_sort(self, monkeypatch, p):
+        rng = np.random.default_rng(38)
+        X = rng.normal(size=(70, 5))
+        y = rng.integers(0, 3, 70)
+        q = rng.normal(size=(30, 5))
+        model = KnnClassifier(n_neighbors=4, p=p).fit(X, y)
+        got = model.predict_proba(q)
+        d = (np.abs(q[:, None, :] - X[None, :, :]) ** p).sum(axis=2)
+        for i in range(len(q)):
+            near = np.argsort(d[i], kind="stable")[:4]
+            votes = np.bincount(y[near], minlength=3) / 4.0
+            np.testing.assert_array_equal(got[i], votes)
+        monkeypatch.setattr(knn, "CHUNK_SIZE", 7)
+        np.testing.assert_array_equal(model.predict_proba(q), got)
 
     def test_minkowski_p1(self):
         X = np.array([[0.0, 0.0], [2.0, 0.0], [0.9, 0.9]])

@@ -1,6 +1,7 @@
 """Config validation, orchestration determinism, artifacts, CLI exit codes."""
 
 import json
+import math
 import re
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -270,10 +271,8 @@ class TestParseConfig:
                 "background_size": 100,
                 "lime_samples_per_instance": 1000,
                 "lime_kernel_width": None,
-                "lime_instances": 2000,
                 "lime_ridge": 1e-3,
                 "permutation_rounds": 10,
-                "shap_exact_cap": 16,
             },
             "sampler": {"seed": 0, "train_fraction": 0.7},
         }
@@ -322,6 +321,8 @@ MALFORMED = {
     "gamma neither number nor string": (("models",), {"svm_rbf": {"gamma": [1]}}),
     "gamma a string other than auto": (("models",), {"svm_rbf": {"gamma": "fast"}}),
     "unknown violable feature": (("source", "violable_features"), ["Nope"]),
+    "removed key shap_exact_cap": (("explainers", "shap_exact_cap"), 16),
+    "removed key lime_instances": (("explainers", "lime_instances"), 2000),
     "no violable feature": (("source", "violable_features"), []),
     "schema and features": (
         ("source",),
@@ -350,6 +351,37 @@ def test_malformed_config_exits_2_before_writing(tmp_path, capsys, where, value)
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# (section, key) of a number; a Python NaN or infinity there is refused
+NON_FINITE = {
+    "mlp.learning_rate": (("models", "mlp"), "learning_rate", math.nan),
+    "svm_rbf.c": (("models", "svm_rbf"), "c", math.inf),
+    "svm_rbf.gamma": (("models", "svm_rbf"), "gamma", math.nan),
+    "svm_rbf.tol": (("models", "svm_rbf"), "tol", math.nan),
+    "adaboost.learning_rate": (("models", "adaboost"), "learning_rate", math.nan),
+    "gbdt_lgbm_like.learning_rate": (
+        ("independent_classifiers", "gbdt_lgbm_like"),
+        "learning_rate",
+        math.nan,
+    ),
+    "explainers.lime_ridge": (("explainers",), "lime_ridge", math.inf),
+    "explainers.lime_kernel_width": (("explainers",), "lime_kernel_width", math.nan),
+}
+
+
+@pytest.mark.parametrize("where, key, value", NON_FINITE.values(), ids=list(NON_FINITE))
+def test_non_finite_number_refused(tmp_path, where, key, value):
+    # as perfbench hands it over: a Python value, not a JSON file
+    cfg = tiny_config(tmp_path / "out")
+    section = cfg
+    for name in where:
+        if isinstance(section.get(name), list):
+            section[name] = {family: {} for family in section[name]}
+        section = section.setdefault(name, {})
+    section[key] = value
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config(cfg)
 
 
 SENSOR_HEADER = ",".join([*SENSOR_SCHEMA.feature_names, "label"]).encode()
@@ -549,8 +581,7 @@ class TestRunPipeline:
     def test_manifest_counts_lime_rows(self, tmp_path):
         explainers = {
             "methods": ["lime"],
-            "max_explained_instances": 6,
-            "lime_instances": 4,
+            "max_explained_instances": 4,
             "lime_samples_per_instance": 50,
         }
         cfg = parse_config(
@@ -689,6 +720,15 @@ class TestCli:
         assert ds.n_rows == 50
         assert set(ds.class_counts) == {0, 1}
 
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "1.5"])
+    def test_generate_refuses_a_fraction_outside_0_1(self, tmp_path, capsys, fraction):
+        out = tmp_path / "sensor.csv"
+        argv = ["generate", "--out", str(out), "--seed", "3"]
+        assert main([*argv, "--anomaly-fraction", fraction]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_run_exit_zero(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out")))
@@ -748,12 +788,23 @@ class TestCli:
         assert "training error" in capsys.readouterr().err
 
     def test_explanation_error_exits_5(self, tmp_path, capsys):
-        cfg = tiny_config(tmp_path / "out")
-        cfg["explainers"]["shap_exact_cap"] = 8  # ten features exceed the cap
+        # the mlp reads all 17 continuous features, so every (instance,
+        # background row) pair has 17 players, one more than exact SHAP takes
+        names = [f"f{j}" for j in range(17)]
+        rows = np.random.default_rng(5).normal(size=(60, 17))
+        data = tmp_path / "wide.csv"
+        lines = [",".join([*names, "label"])]
+        lines += [",".join([*map(repr, r), str(i % 2)]) for i, r in enumerate(rows.tolist())]
+        data.write_text("\n".join(lines) + "\n")
+        source = {"kind": "csv", "path": str(data), "features": names}
+        source["label_column"] = "label"
+        cfg = tiny_config(tmp_path / "out", source=source, models=["mlp"])
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path)]) == 5
-        assert "explanation error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("explanation error: ") and err.count("\n") == 1
+        assert "17 players" in err
 
     def test_fuse_single_table(self, tmp_path, capsys):
         from xaifuse.fixtures import fixture_path
