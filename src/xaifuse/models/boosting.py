@@ -4,7 +4,8 @@ AdaBoost follows the real (probability-based) variant: each round fits a
 weighted tree, adds the symmetrized log-probability vote, and reweights rows
 by the coded-label margin. A round that classifies the weighted sample
 perfectly ends training, so a memorizing base tree yields a one-tree
-ensemble identical to that tree.
+ensemble identical to that tree. The class probabilities are the softmax of
+the mean vote over k - 1 (SAMME.R), and a prediction is their argmax.
 
 GradientBoosting fits regression trees to logistic-loss residuals and
 replaces each leaf's mean with a Newton step (sum of residuals over sum of
@@ -21,7 +22,7 @@ from .tree import DecisionTree, TreeStack, _end_to_end, _presort
 _PROBA_FLOOR = 1e-10
 
 
-class AdaBoost:
+class AdaBoost(ProbaClassifier):
     def __init__(
         self,
         n_estimators: int = 200,
@@ -31,6 +32,7 @@ class AdaBoost:
     ):
         if n_estimators < 1 or learning_rate <= 0:
             raise ValueError("invalid boosting parameters")
+        DecisionTree(base_max_depth, base_min_samples_leaf)  # a tree's size checks
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.base_max_depth = base_max_depth
@@ -77,17 +79,11 @@ class AdaBoost:
         self._votes = (k - 1.0) * (log_p - log_p.mean(axis=1, keepdims=True))
         return self
 
-    def decision_function(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        votes = np.zeros((X.shape[0], len(self.classes_)))
-        return self._stack.tree_sum(X, self._votes, votes) / len(self.trees_)
-
     def predict_proba(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
         k = len(self.classes_)
-        return softmax(self.decision_function(X) / (k - 1.0))
-
-    def predict(self, X) -> np.ndarray:
-        return self.classes_[np.argmax(self.decision_function(X), axis=1)]
+        votes = self._stack.tree_sum(X, self._votes, np.zeros((X.shape[0], k)))
+        return softmax(votes / len(self.trees_) / (k - 1.0))
 
 
 class GradientBoosting(ProbaClassifier):
@@ -100,6 +96,7 @@ class GradientBoosting(ProbaClassifier):
     ):
         if n_estimators < 0 or learning_rate < 0:
             raise ValueError("invalid boosting parameters")
+        DecisionTree(max_depth, min_samples_leaf)  # a tree's size checks
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth

@@ -27,6 +27,7 @@ class RandomForest(ProbaClassifier):
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be positive")
+        DecisionTree(max_depth, min_samples_leaf, min_samples_split)  # a tree's size checks
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf

@@ -22,8 +22,8 @@ class LogisticRegression(ProbaClassifier):
         max_iter: int = 1000,
         class_weight: str | None = "balanced",
     ):
-        if c <= 0:
-            raise ValueError("c must be positive")
+        if c <= 0 or max_iter < 1:
+            raise ValueError("c and max_iter must be positive")
         if class_weight not in (None, "balanced"):
             raise ValueError("class_weight must be None or 'balanced'")
         self.c = c

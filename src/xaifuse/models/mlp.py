@@ -24,8 +24,8 @@ class MlpClassifier(ProbaClassifier):
         learning_rate: float = 1e-3,
         seed: int = 0,
     ):
-        if hidden_units < 1:
-            raise ValueError("hidden_units must be positive")
+        if hidden_units < 1 or epochs < 1 or batch_size < 1 or learning_rate <= 0:
+            raise ValueError("hidden_units, epochs, batch_size, learning_rate must be positive")
         if not 0.0 <= dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         self.hidden_units = hidden_units

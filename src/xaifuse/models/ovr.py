@@ -1,5 +1,6 @@
 """The logistic sigmoid, the softmax, the one-vs-rest rule and the argmax
-prediction shared by the classifier families.
+prediction shared by the classifier families. All nine families are
+`ProbaClassifier`s: each defines `predict_proba` and nothing else scores.
 
 A binary problem gets one scorer whose positive class is the higher label;
 a multiclass problem gets one scorer per class. Each scorer's raw score goes
@@ -44,7 +45,7 @@ def ovr_proba(scores: np.ndarray) -> np.ndarray:
 
 class ProbaClassifier:
     """Predicts each row's most probable class; a subclass sets `classes_`
-    and defines `predict_proba`."""
+    and defines `predict_proba`, and no family overrides `predict`."""
 
     def predict(self, X) -> np.ndarray:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

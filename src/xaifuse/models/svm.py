@@ -4,11 +4,12 @@ The dual solve follows the simplified SMO scheme: scan rows for KKT
 violations, pair each violator with the row maximizing |E_i - E_j|, and
 update the pair analytically. The second choice is an argmax, not a random
 draw, so training is deterministic. Total pair updates are capped at
-10 * n to bound runtime on hard problems.
+updates_per_row * n to bound runtime on hard problems.
 
 Probabilities come from a sigmoid fit to the decision values on the
-training set (Platt's regularized targets, Newton solve). Multiclass wraps
-one binary machine per class and normalizes the sigmoids.
+training set (Platt's regularized targets, Newton solve). One-vs-rest:
+`_smo` solves one machine per scorer on the shared Gram matrix, and
+multiclass rows normalize the sigmoids.
 """
 
 from __future__ import annotations
@@ -57,93 +58,73 @@ def _platt_fit(scores: np.ndarray, labels01: np.ndarray) -> tuple[float, float]:
     return a, b
 
 
-class _BinarySvm:
-    """One machine for labels coded -1/+1."""
-
-    def __init__(self, c: float, gamma: float, tol: float, max_updates: int):
-        self.c = c
-        self.gamma = gamma
-        self.tol = tol
-        self.max_updates = max_updates
-
-    def fit(self, X: np.ndarray, y_pm: np.ndarray, gram: np.ndarray) -> "_BinarySvm":
-        n = X.shape[0]
-        alpha = np.zeros(n)
-        b = 0.0
-        err = -y_pm  # f(x) - y with f == 0 initially
-        updates = 0
-        passes_clean = 0
-        c, tol = self.c, self.tol
-        while passes_clean < 1 and updates < self.max_updates:
-            changed = 0
-            for i in range(n):
-                yi = y_pm[i]
-                ei = err[i]
-                r = ei * yi
-                if not ((r < -tol and alpha[i] < c) or (r > tol and alpha[i] > 0)):
-                    continue
-                gap = np.abs(err - ei)
-                gap[i] = -1.0
-                j = int(np.argmax(gap))
-                yj = y_pm[j]
-                ej = err[j]
-                ai_old, aj_old = alpha[i], alpha[j]
-                if yi != yj:
-                    lo = max(0.0, aj_old - ai_old)
-                    hi = min(c, c + aj_old - ai_old)
-                else:
-                    lo = max(0.0, ai_old + aj_old - c)
-                    hi = min(c, ai_old + aj_old)
-                if lo >= hi:
-                    continue
-                eta = 2.0 * gram[i, j] - gram[i, i] - gram[j, j]
-                if eta >= 0:
-                    continue
-                aj = aj_old - yj * (ei - ej) / eta
-                aj = min(max(aj, lo), hi)
-                if abs(aj - aj_old) < 1e-12:
-                    continue
-                ai = ai_old + yi * yj * (aj_old - aj)
-                alpha[i], alpha[j] = ai, aj
-                di = yi * (ai - ai_old)
-                dj = yj * (aj - aj_old)
-                b1 = b - ei - di * gram[i, i] - dj * gram[i, j]
-                b2 = b - ej - di * gram[i, j] - dj * gram[j, j]
-                if 0 < ai < c:
-                    b_new = b1
-                elif 0 < aj < c:
-                    b_new = b2
-                else:
-                    b_new = (b1 + b2) / 2.0
-                err += di * gram[i] + dj * gram[j] + (b_new - b)
-                b = b_new
-                changed += 1
-                updates += 1
-                if updates >= self.max_updates:
-                    break
-            passes_clean = passes_clean + 1 if changed == 0 else 0
-
-        sv = alpha > 1e-12
-        self.support_vectors_ = X[sv]
-        self.dual_coef_ = alpha[sv] * y_pm[sv]
-        self.intercept_ = b
-        train_scores = gram[:, sv] @ self.dual_coef_ + b
-        self.platt_a_, self.platt_b_ = _platt_fit(train_scores, y_pm == 1)
-        return self
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        gram_row = _rbf(X, self.support_vectors_, self.gamma)
-        return gram_row @ self.dual_coef_ + self.intercept_
-
-    def platt_score(self, X) -> np.ndarray:
-        """The decision value on the logit scale of the Platt sigmoid."""
-        return self.platt_a_ * self.decision_function(X) + self.platt_b_
+def _smo(
+    gram: np.ndarray, y_pm: np.ndarray, c: float, tol: float, max_updates: int
+) -> tuple[np.ndarray, float]:
+    """The dual coefficients and intercept of one machine for labels coded
+    -1/+1, given the training Gram matrix."""
+    n = len(y_pm)
+    alpha = np.zeros(n)
+    b = 0.0
+    err = -y_pm  # f(x) - y with f == 0 initially
+    updates = 0
+    passes_clean = 0
+    while passes_clean < 1 and updates < max_updates:
+        changed = 0
+        for i in range(n):
+            yi = y_pm[i]
+            ei = err[i]
+            r = ei * yi
+            if not ((r < -tol and alpha[i] < c) or (r > tol and alpha[i] > 0)):
+                continue
+            gap = np.abs(err - ei)
+            gap[i] = -1.0
+            j = int(np.argmax(gap))
+            yj = y_pm[j]
+            ej = err[j]
+            ai_old, aj_old = alpha[i], alpha[j]
+            if yi != yj:
+                lo = max(0.0, aj_old - ai_old)
+                hi = min(c, c + aj_old - ai_old)
+            else:
+                lo = max(0.0, ai_old + aj_old - c)
+                hi = min(c, ai_old + aj_old)
+            if lo >= hi:
+                continue
+            eta = 2.0 * gram[i, j] - gram[i, i] - gram[j, j]
+            if eta >= 0:
+                continue
+            aj = aj_old - yj * (ei - ej) / eta
+            aj = min(max(aj, lo), hi)
+            if abs(aj - aj_old) < 1e-12:
+                continue
+            ai = ai_old + yi * yj * (aj_old - aj)
+            alpha[i], alpha[j] = ai, aj
+            di = yi * (ai - ai_old)
+            dj = yj * (aj - aj_old)
+            b1 = b - ei - di * gram[i, i] - dj * gram[i, j]
+            b2 = b - ej - di * gram[i, j] - dj * gram[j, j]
+            if 0 < ai < c:
+                b_new = b1
+            elif 0 < aj < c:
+                b_new = b2
+            else:
+                b_new = (b1 + b2) / 2.0
+            err += di * gram[i] + dj * gram[j] + (b_new - b)
+            b = b_new
+            changed += 1
+            updates += 1
+            if updates >= max_updates:
+                break
+        passes_clean = passes_clean + 1 if changed == 0 else 0
+    return alpha, b
 
 
 class SvmRbf(ProbaClassifier):
     """RBF-kernel SVM with one binary machine per one-vs-rest scorer. `fit`
     holds the training Gram matrix as one float64 n x n array, 8n² bytes,
-    that every machine shares."""
+    that every machine shares, and keeps per scorer its support vectors,
+    dual coefficients, intercept and Platt pair."""
 
     def __init__(
         self,
@@ -152,10 +133,10 @@ class SvmRbf(ProbaClassifier):
         tol: float = 1e-3,
         updates_per_row: int = 10,
     ):
-        if c <= 0:
-            raise ValueError("c must be positive")
-        if isinstance(gamma, str) and gamma != "auto":
-            raise ValueError("gamma must be a number or 'auto'")
+        if c <= 0 or tol <= 0 or updates_per_row < 1:
+            raise ValueError("c and tol must be positive, updates_per_row at least 1")
+        if gamma != "auto" and (isinstance(gamma, str) or gamma <= 0):
+            raise ValueError("gamma must be a positive number or 'auto'")
         self.c = c
         self.gamma = gamma
         self.tol = tol
@@ -167,15 +148,26 @@ class SvmRbf(ProbaClassifier):
         self.classes_, targets = ovr_targets(y)
         self.gamma_ = 1.0 / p if self.gamma == "auto" else float(self.gamma)
         gram = _rbf(X, X, self.gamma_)
-        max_updates = self.updates_per_row * n
-        self._machines = [
-            _BinarySvm(self.c, self.gamma_, self.tol, max_updates).fit(
-                X, 2.0 * t - 1.0, gram
-            )
-            for t in targets
-        ]
+        self.support_vectors_, self.dual_coef_, self.intercept_, self.platt_ = [], [], [], []
+        for t in targets:
+            y_pm = 2.0 * t - 1.0
+            alpha, b = _smo(gram, y_pm, self.c, self.tol, self.updates_per_row * n)
+            sv = alpha > 1e-12
+            coef = alpha[sv] * y_pm[sv]
+            self.support_vectors_.append(X[sv])
+            self.dual_coef_.append(coef)
+            self.intercept_.append(b)
+            self.platt_.append(_platt_fit(gram[:, sv] @ coef + b, y_pm == 1))
         return self
 
     def predict_proba(self, X) -> np.ndarray:
+        """Each scorer's decision value on the logit scale of its Platt
+        sigmoid, through the one-vs-rest rule."""
         X = np.asarray(X, dtype=np.float64)
-        return ovr_proba(np.column_stack([m.platt_score(X) for m in self._machines]))
+        scores = [
+            a * (_rbf(X, sv, self.gamma_) @ coef + b) + pb
+            for sv, coef, b, (a, pb) in zip(
+                self.support_vectors_, self.dual_coef_, self.intercept_, self.platt_
+            )
+        ]
+        return ovr_proba(np.column_stack(scores))

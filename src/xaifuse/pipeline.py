@@ -633,7 +633,8 @@ def render_summary_from_artifacts(out_dir: str | Path) -> str:
 def _rendered(path: Path, render, null_ok: bool = False) -> list[str]:
     """render() of the JSON document at `path`. A file that cannot be read
     as JSON, or a document that is not an object (or null, where null_ok)
-    or lacks a field, is a DataError that names the file."""
+    or lacks a field or holds one of the wrong type, is a DataError that
+    names the file."""
     doc = read_json(path, DataError)
     if not (isinstance(doc, dict) or (null_ok and doc is None)):
         raise DataError(f"{path} does not hold a JSON object")
@@ -641,6 +642,8 @@ def _rendered(path: Path, render, null_ok: bool = False) -> list[str]:
         return render(doc)
     except KeyError as exc:
         raise DataError(f"{path} lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path} holds a field of the wrong type: {exc}") from None
 
 
 def _conformance_lines(doc: dict | None) -> list[str]:

@@ -17,9 +17,9 @@ from xaifuse.models import (
     resolve_params,
     train_model,
 )
-from xaifuse.models import knn, tree
-from xaifuse.models.ovr import ovr_proba, ovr_targets
-from xaifuse.models.svm import _BinarySvm, _rbf
+from xaifuse.models import _FAMILIES, knn, svm, tree
+from xaifuse.models.ovr import ProbaClassifier, ovr_proba, ovr_targets, softmax
+from xaifuse.models.svm import _rbf
 from xaifuse.seeding import derive_seed
 
 
@@ -559,7 +559,9 @@ class TestStackedWalk:
         for t in model.trees_:
             log_p = np.log(np.maximum(t.value_[per_tree_apply(t, X)], 1e-10))
             want += (k - 1.0) * (log_p - log_p.mean(axis=1, keepdims=True))
-        np.testing.assert_array_equal(model.decision_function(X), want / len(model.trees_))
+        np.testing.assert_array_equal(
+            model.predict_proba(X), softmax(want / len(model.trees_) / (k - 1.0))
+        )
 
     def test_gradient_boosting_raw_scores(self):
         rng = np.random.default_rng(60)
@@ -680,7 +682,10 @@ class TestSvm:
         X = rng.normal(size=(120, 3))
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
         model = SvmRbf().fit(X, y)
-        scores = model._machines[0].decision_function(X)
+        scores = (
+            _rbf(X, model.support_vectors_[0], model.gamma_) @ model.dual_coef_[0]
+            + model.intercept_[0]
+        )
         proba = model.predict_proba(X)
         # platt sigmoid is monotone in the decision value
         order = np.argsort(scores)
@@ -727,19 +732,33 @@ class TestSvm:
         X = np.vstack([rng.normal(-2, 0.4, (2049, 2)), rng.normal(2, 0.4, (2048, 2))])
         y = np.array([0] * 2049 + [1] * 2048)
         seen = []
-        fit = _BinarySvm.fit
+        smo = svm._smo
 
-        def spy(self, X, y_pm, gram):
+        def spy(gram, *args):
             seen.append(gram.dtype)
-            return fit(self, X, y_pm, gram)
+            return smo(gram, *args)
 
-        monkeypatch.setattr(_BinarySvm, "fit", spy)
+        monkeypatch.setattr(svm, "_smo", spy)
         model = SvmRbf().fit(X, y)
         assert seen == [np.float64]
         assert (model.predict(X) == y).all()
 
 
 class TestOneVsRest:
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_every_family_predicts_the_argmax_of_predict_proba(self, family, n_classes):
+        cls = _FAMILIES[family][0]
+        assert issubclass(cls, ProbaClassifier)
+        assert cls.predict is ProbaClassifier.predict
+        rng = np.random.default_rng(70 + n_classes)
+        X = rng.normal(size=(60, 3))
+        y = rng.integers(0, n_classes, 60)
+        small = {"n_estimators": 5} if "n_estimators" in default_params(family) else {}
+        model = train_model(family, X, y, seed=2, overrides=small)
+        want = model.classes_[np.argmax(model.predict_proba(X), axis=1)]
+        np.testing.assert_array_equal(model.predict(X), want)
+
     def test_binary_has_one_scorer_for_the_higher_label(self):
         classes, targets = ovr_targets(np.array([4, 0, 4, 4]))
         np.testing.assert_array_equal(classes, [0, 4])

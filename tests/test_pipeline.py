@@ -453,6 +453,37 @@ def test_unreadable_input_exits_with_one_line(tmp_path, capsys, entry, content, 
         assert not out.exists()
 
 
+# (section, family, hyperparameter, value): each lies outside the range that
+# the family's constructor takes
+OUT_OF_RANGE = [
+    ("models", "random_forest", "max_depth", -1),
+    ("models", "random_forest", "min_samples_leaf", 0),
+    ("models", "adaboost", "base_max_depth", -1),
+    ("models", "adaboost", "base_min_samples_leaf", 0),
+    ("independent_classifiers", "gbdt_lgbm_like", "max_depth", -1),
+    ("independent_classifiers", "gbdt_lgbm_like", "min_samples_leaf", 0),
+    ("models", "mlp", "batch_size", 0),
+    ("models", "mlp", "epochs", -2),
+    ("models", "mlp", "learning_rate", -1.0),
+    ("models", "svm_rbf", "tol", -1.0),
+    ("models", "svm_rbf", "updates_per_row", -1),
+    ("models", "svm_rbf", "gamma", -1.0),
+    ("independent_classifiers", "logistic_regression", "max_iter", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "section, family, key, value",
+    OUT_OF_RANGE,
+    ids=[f"{family}.{key}={value}" for _, family, key, value in OUT_OF_RANGE],
+)
+def test_out_of_range_hyperparameter_is_a_config_error(section, family, key, value):
+    raw = {"seed": 1, "source": {"kind": "synthetic_sensor"}}
+    raw[section] = {family: {key: value}}
+    with pytest.raises(ConfigError, match=f"bad overrides for {family}"):
+        parse_config(raw)
+
+
 # JSON numbers that RFC 8259 does not have, which Python's json module reads
 NON_FINITE = {
     "points NaN": (("fusion", "points"), [float("nan"), 2, 1]),
@@ -761,6 +792,17 @@ class TestCli:
         assert "criterion" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_judge_out_of_range_exits_2_before_training(self, tmp_path, capsys):
+        judges = {"gbdt_lgbm_like": {"max_depth": -1}}
+        cfg = tiny_config(tmp_path / "out", independent_classifiers=judges)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad overrides for gbdt_lgbm_like")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_data_error_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
@@ -955,6 +997,39 @@ class TestCli:
         (tmp_path / name).write_text("[1]")
         assert main(["report", "--out", str(tmp_path)]) == 3
         assert f"{name} does not hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("metrics.json", "run", 1),
+            ("metrics.json", "accuracy", "high"),
+            ("conformance.json", "required", 5),
+        ],
+        ids=["run an int", "accuracy a string", "required an int"],
+    )
+    def test_report_on_a_mistyped_field_exits_3(self, tmp_path, capsys, name, field, value):
+        scores = {"accuracy": 0.5, "precision": 0.5, "recall": 0.5, "f1": 0.5}
+        run = dict.fromkeys(["version", "mode", "source", "features"], "x")
+        docs = {
+            "metrics.json": {
+                "config_hash": "0",
+                "run": {**run, "train_rows": 8, "test_rows": 2},
+                "feature_set_order": ["shap"],
+                "classifier_order": ["judge"],
+                "feature_sets": {"shap": ["Speed"]},
+                "classifiers": {"judge": {"shap": scores}},
+            },
+            "conformance.json": {"passed": True, "required": [], "cells": []},
+        }
+        (tmp_path / name).write_text(json.dumps(docs[name]))
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        holder = scores if field == "accuracy" else docs[name]
+        holder[field] = value
+        (tmp_path / name).write_text(json.dumps(docs[name]))
+        assert main(["report", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / name} holds a field of the wrong type")
+        assert err.count("\n") == 1
 
     def test_report_on_metrics_without_run_facts_exits_3(self, tmp_path, capsys):
         (tmp_path / "metrics.json").write_text(
