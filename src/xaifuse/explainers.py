@@ -16,8 +16,12 @@ in expectation:
 - every other model takes a reduced coalition enumeration. In v_b only the
   features that the model reads and on which the instance and b differ are
   players; every other feature is a dummy. So only the 2^m hybrid rows of
-  those m players are scored, in blocks of at most ROW_BUDGET rows. A pair
-  with more than MAX_PLAYERS players is refused before any row is scored.
+  those m players are scored, in blocks of at most ROW_BUDGET rows. A model
+  with a `coalition_proba` method scores a block itself: the MLP adds each
+  player's first-layer term to b's preactivation and builds no hybrid row.
+  Every other model scores the hybrid rows built explicitly with
+  `predict_proba`. A pair with more than MAX_PLAYERS players is refused
+  before any row is scored.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from .models.forest import RandomForest
 from .models.tree import DecisionTree
 from .seeding import rng_for, subsample
 
-# model rows per coalition block, so a block's hybrid rows take at most
-# ROW_BUDGET x p floats; TreeSHAP blocks hold at most ROW_BUDGET
+# hybrid rows per coalition block, so a block's hybrid rows take at most
+# ROW_BUDGET x p floats (ROW_BUDGET x hidden units on the MLP's coalition
+# path); TreeSHAP blocks hold at most ROW_BUDGET
 # (instance, background row, leaf) cells
 ROW_BUDGET = 1 << 14
 # players per (instance, background row) pair of the coalition enumeration,
@@ -92,7 +97,7 @@ class ExplainerConfig:
 @dataclass(frozen=True)
 class ImportanceVector:
     """Non-negative global importance per feature for one (model, method),
-    with the number of rows the explainer passed to the model."""
+    with the number of model rows the explainer scored."""
 
     scores: np.ndarray
     method: str
@@ -119,7 +124,8 @@ class ShapMatrix:
     models one output per class. For every instance and output,
     values.sum(last axis) + base_values equals the model output exactly
     (up to accumulated rounding well below 1e-9). model_rows counts the
-    rows passed to predict_proba.
+    instances, the background rows and the hybrid rows scored, whether
+    passed to predict_proba or scored by the model's coalition_proba.
     """
 
     values: np.ndarray
@@ -285,9 +291,11 @@ def _coalition_shap(
     model, cols: list[int], X: np.ndarray, bg: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Shapley values by enumerating, for each (instance, background row)
-    pair, only the coalitions of its players; (n, n_out, p) and the rows
-    scored. Pairs are grouped by player set, and each group is scored in
-    blocks of at most ROW_BUDGET rows."""
+    pair, only the coalitions of its players; (n, n_out, p) and the hybrid
+    rows scored. Pairs are grouped by player set, and each group is scored
+    in aligned blocks of the largest power of two <= ROW_BUDGET rows: by the
+    model's coalition_proba if it has one, else by predict_proba on the
+    hybrid rows built explicitly."""
     n, p = X.shape
     n_bg = bg.shape[0]
     players = (X[:, None, :] != bg[None, :, :]) & _read_features(model, p)
@@ -297,6 +305,10 @@ def _coalition_shap(
             f"an (instance, background row) pair has {most} players, above the "
             f"exact enumeration cap of {MAX_PLAYERS}"
         )
+    score = getattr(model, "coalition_proba", None) or (
+        lambda *block: _hybrid_proba(model, *block)
+    )
+    block = 1 << (ROW_BUDGET.bit_length() - 1)
     sets, group = np.unique(players.reshape(-1, p), axis=0, return_inverse=True)
     group = group.reshape(-1)
     ends = np.cumsum(np.bincount(group, minlength=len(sets)))
@@ -309,39 +321,51 @@ def _coalition_shap(
         if m == 0:  # the pair's game is constant: every feature is a dummy
             continue
         inst, back = np.divmod(pairs, n_bg)
-        local = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
-        pick = np.zeros((1 << m, p), dtype=bool)
-        pick[:, who] = local
-        size = local.sum(axis=1)
+        n_s = 1 << m
+        size = np.zeros(1, dtype=np.int64)  # coalition size per index
+        for _ in range(m):
+            size = np.concatenate([size, size + 1])
         weight = _coalition_weights(m)[np.minimum(size, m - 1)]
-        step = max(1, ROW_BUDGET >> m)
+        # per player t, the weights of the coalitions without t, in index order
+        weights = [weight.reshape(n_s >> (t + 1), 2, 1 << t)[:, 0].ravel() for t in range(m)]
+        span = min(n_s, block)
+        step = max(1, block >> m)
         for s in range(0, len(pairs), step):
             i, b = inst[s : s + step], back[s : s + step]
-            v = np.empty((len(i), 1 << m, len(cols)))
-            for c0 in range(0, 1 << m, ROW_BUDGET):
-                part = pick[None, c0 : c0 + ROW_BUDGET]
-                z = np.where(part, X[i][:, None, :], bg[b][:, None, :])
-                v[:, c0 : c0 + part.shape[1]] = model.predict_proba(
-                    z.reshape(-1, p)
-                )[:, cols].reshape(len(i), part.shape[1], len(cols))
+            v = np.empty((len(i), n_s, len(cols)))
+            for c0 in range(0, n_s, span):
+                v[:, c0 : c0 + span] = score(X[i], bg[b], who, c0, span)[:, :, cols]
             rows += v.shape[0] * v.shape[1]
-            np.add.at(total, (i[:, None], who), _pair_shapley(v, weight))
+            np.add.at(total, (i[:, None], who), _pair_shapley(v, weights))
     return total.transpose(0, 2, 1) / n_bg, rows
 
 
-def _pair_shapley(v: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _hybrid_proba(
+    model, x: np.ndarray, b: np.ndarray, who: np.ndarray, start: int, size: int
+) -> np.ndarray:
+    """predict_proba of hybrid rows start..start+size-1 of each pair
+    (x[i], b[i]), built explicitly; (pairs, size, n_classes). Bit t of a
+    row's index takes feature who[t] from x, every other feature comes
+    from b."""
+    p = x.shape[1]
+    pick = np.zeros((size, p), dtype=bool)
+    pick[:, who] = (np.arange(start, start + size)[:, None] >> np.arange(len(who))) & 1
+    z = np.where(pick, x[:, None, :], b[:, None, :])
+    return model.predict_proba(z.reshape(-1, p)).reshape(len(x), size, -1)
+
+
+def _pair_shapley(v: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
     """Shapley values of m players from v over all 2^m coalitions, where bit
-    t of a coalition's index marks player t and weight[S] = w(|S|) for every
-    S without player t; (pairs, m, n_out). A player whose marginal
-    contributions are all exactly 0 gets exactly 0."""
+    t of a coalition's index marks player t and weights[t] holds w(|S|) for
+    every S without player t, in index order; (pairs, m, n_out). A player
+    whose marginal contributions are all exactly 0 gets exactly 0."""
     k, n_s, n_out = v.shape
-    m = n_s.bit_length() - 1
-    phi = np.empty((k, m, n_out))
-    for t in range(m):
+    phi = np.empty((k, len(weights), n_out))
+    for t, w in enumerate(weights):
         # split each coalition index at bit t: (high bits, bit t, low bits)
         vt = v.reshape(k, n_s >> (t + 1), 2, 1 << t, n_out)
         delta = (vt[:, :, 1] - vt[:, :, 0]).reshape(k, n_s >> 1, n_out)
-        phi[:, t] = weight.reshape(n_s >> (t + 1), 2, 1 << t)[:, 0].ravel() @ delta
+        phi[:, t] = w @ delta
     return phi
 
 

@@ -4,6 +4,12 @@ The loss and its gradient live in one pure function of the flat parameter
 vector so the trainer and a finite-difference check share the exact same
 code path. Dropout applies only during training (inverted scaling keeps
 the expected activation unchanged); evaluation is deterministic.
+
+`coalition_proba` is the MLP's coalition path for exact SHAP: the first
+layer is additive over features, so the hybrid rows of an (instance,
+background row) pair are scored from the background row's preactivation
+plus one term per player, without building the rows or running the
+first-layer GEMM.
 """
 
 from __future__ import annotations
@@ -149,10 +155,51 @@ class MlpClassifier(ProbaClassifier):
 
     # -- inference -------------------------------------------------------
 
+    def _layers(self):
+        k_out = 1 if self._binary else len(self.classes_)
+        return self._unpack(self.params_, self.n_features_, k_out)
+
+    def _head(self, a1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+        """Class probabilities from first-layer preactivations (rows,
+        hidden), which the ReLU overwrites."""
+        z = np.maximum(a1, 0.0, out=a1) @ w2 + b2
+        return ovr_proba(z) if self._binary else softmax(z)
+
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        k_out = 1 if self._binary else len(self.classes_)
-        w1, b1, w2, b2 = self._unpack(self.params_, self.n_features_, k_out)
-        h = np.maximum(X @ w1 + b1, 0.0)
-        z = h @ w2 + b2
-        return ovr_proba(z) if self._binary else softmax(z)
+        w1, b1, w2, b2 = self._layers()
+        return self._head(X @ w1 + b1, w2, b2)
+
+    def coalition_proba(
+        self, x: np.ndarray, b: np.ndarray, who: np.ndarray, start: int, size: int
+    ) -> np.ndarray:
+        """predict_proba of hybrid rows start..start+size-1 of each pair
+        (x[i], b[i]), without building them; (pairs, size, n_classes). Bit t
+        of a row's index takes feature who[t] from x, every other feature
+        comes from b. size is a power of two and start a multiple of it.
+
+        The first layer is additive over features, so a hybrid row's
+        preactivation is b's plus the term (x_j - b_j) W1[j] of each player
+        j that it takes from x. Those terms are added from the lowest bit
+        up: the block doubles its rows once per bit that varies in it (the
+        rows with bit t set are the rows below them plus player t's term),
+        then adds the terms of the bits that start fixes. So a row's bits
+        depend on its index only, not on the block or the pairs it is
+        scored with.
+        """
+        w1, b1, w2, b2 = self._layers()
+        x = np.asarray(x, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        k, h = len(b), self.hidden_units
+        a1 = np.empty((k, size, h))
+        # b's preactivation b1 + sum_j b_j W1[j], summed in feature order
+        terms = np.concatenate([np.broadcast_to(b1, (k, 1, h)), b[:, :, None] * w1], axis=1)
+        a1[:, 0] = np.add.accumulate(terms, axis=1)[:, -1]
+        step = (x[:, who] - b[:, who])[:, :, None] * w1[who]  # (pairs, m, hidden)
+        low = size.bit_length() - 1  # players below this bit vary in the block
+        for t in range(low):
+            np.add(a1[:, : 1 << t], step[:, t, None], out=a1[:, 1 << t : 2 << t])
+        for t in range(low, len(who)):
+            if start >> t & 1:
+                a1 += step[:, t, None]
+        return self._head(a1.reshape(k * size, h), w2, b2).reshape(k, size, -1)

@@ -20,7 +20,13 @@ from xaifuse.explainers import (
     write_importance_csv,
 )
 from xaifuse.fusion import to_ranks
-from xaifuse.models import AdaBoost, DecisionTree, KnnClassifier, RandomForest
+from xaifuse.models import (
+    AdaBoost,
+    DecisionTree,
+    KnnClassifier,
+    MlpClassifier,
+    RandomForest,
+)
 
 
 class FnModel:
@@ -375,6 +381,31 @@ class TestReducedEnumeration:
         res = self.check(model, instances, background, dummies=[1])
         assert res.model_rows < 3 + 6 + 3 * 6 * 2**3
 
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_mlp_coalition_path(self, n_classes):
+        rng = np.random.default_rng(20 + n_classes)
+        X = rng.choice(GRID, size=(150, 5))
+        noisy = X[:, 0] - X[:, 1] * X[:, 3] + rng.normal(0, 0.5, 150)
+        y = np.digitize(noisy, [0.0] if n_classes == 2 else [-0.5, 0.5])
+        model = MlpClassifier(hidden_units=6, epochs=20, seed=2).fit(X, y)
+        instances = rng.choice(GRID, size=(3, 5))
+        background = rng.choice(GRID, size=(4, 5))
+        instances[:, 2] = background[:, 2] = 0.5  # never a player
+        res = self.check(model, instances, background, dummies=[2])
+        m = self.players(instances, background, np.ones(5, dtype=bool))
+        assert res.model_rows == 3 + 4 + int(sum(2**k for k in m.ravel() if k))
+
+    def test_mlp_scores_no_hybrid_rows(self):
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(80, 6))
+        model = MlpClassifier(hidden_units=5, epochs=3, seed=1).fit(X, (X[:, 0] > 0).astype(int))
+        seen = []
+        inner = model.predict_proba
+        model.predict_proba = lambda z: seen.append(len(z)) or inner(z)
+        res = shap_values(model, X[:5], X[10:17])
+        assert sorted(seen) == [5, 7]
+        assert res.model_rows == 5 + 7 + 5 * 7 * 2**6
+
 
 class TestRowBudget:
     def test_blocks_do_not_change_attributions(self, monkeypatch):
@@ -385,15 +416,23 @@ class TestRowBudget:
             RandomForest(n_estimators=3, max_depth=3, seed=1).fit(X, y),
             KnnClassifier(n_neighbors=5).fit(X, y),
             AdaBoost(n_estimators=3, base_max_depth=2).fit(X, y),
+            MlpClassifier(hidden_units=8, epochs=5, seed=1).fit(X, y),
+            MlpClassifier(hidden_units=8, epochs=5, seed=1).fit(X, y + (X[:, 1] > 1)),
             CountingFn(lambda z: 0.5 + 0.1 * z[:, 0] * z[:, 4] - 0.2 * z[:, 2]),
         ]
-        instances, background = X[:4], X[50:56]
+        instances, background = X[:4], X[50:56].copy()
+        # three pairs of two players, which the default budget scores together
+        background[:3, 1:4] = instances[0, 1:4]
         before = [shap_values(m, instances, background) for m in models]
         models[-1].calls.clear()
         monkeypatch.setattr(explainers, "ROW_BUDGET", 7)
         after = [shap_values(m, instances, background) for m in models]
-        for a, b in zip(before, after):
-            np.testing.assert_allclose(b.values, a.values, rtol=0, atol=1e-12)
+        for model, a, b in zip(models, before, after):
+            if isinstance(model, MlpClassifier):
+                # a row's coalition output depends on its index only
+                np.testing.assert_array_equal(b.values, a.values)
+            else:
+                np.testing.assert_allclose(b.values, a.values, rtol=0, atol=1e-12)
             assert a.model_rows == b.model_rows
         # past the instances and background, every call is one block
         assert max(models[-1].calls[2:]) <= 7 < 2**5

@@ -946,6 +946,28 @@ class TestMlp:
         model = MlpClassifier(seed=4, epochs=30).fit(X, y)
         assert (model.predict(X) == y).mean() > 0.9
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), data=st.data())
+    def test_coalition_proba_scores_the_hybrid_rows(self, seed, m, data):
+        rng = np.random.default_rng(seed)
+        p = m + int(rng.integers(0, 3))
+        k = int(rng.integers(2, 4))
+        X = rng.normal(size=(60, p))
+        y = np.arange(60) % k
+        model = MlpClassifier(hidden_units=int(rng.integers(1, 9)), epochs=2, seed=5)
+        model.fit(X, y)
+        who = rng.permutation(p)[:m]
+        x, b = rng.normal(size=(2, int(rng.integers(1, 4)), p))
+        size = 1 << data.draw(st.integers(0, m), label="block bits")
+        start = size * data.draw(st.integers(0, (1 << m) // size - 1), label="block")
+        # bit t of a row's index takes feature who[t] from x
+        pick = np.zeros((size, p), dtype=bool)
+        pick[:, who] = (np.arange(start, start + size)[:, None] >> np.arange(m)) & 1
+        rows = np.where(pick, x[:, None], b[:, None]).reshape(-1, p)
+        want = model.predict_proba(rows).reshape(len(x), size, k)
+        got = model.coalition_proba(x, b, who, start, size)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
 
 class TestDispatchAndSerialization:
     def test_unknown_override_rejected(self):
