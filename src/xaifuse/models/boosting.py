@@ -57,9 +57,10 @@ class AdaBoost(ProbaClassifier):
             tree = DecisionTree(
                 max_depth=self.base_max_depth,
                 min_samples_leaf=self.base_min_samples_leaf,
-            ).fit(X, yi, sample_weight=w, _presorted=presorted)
+            )
+            leaves = tree._gini_leaves(X, yi, w, presorted)
+            proba = tree.value_[leaves]
             self.trees_.append(tree)
-            proba = tree.predict_proba(X)
             err = float(w @ (np.argmax(proba, axis=1) != yi))
             if err <= 0.0:
                 break
@@ -120,13 +121,13 @@ class GradientBoosting(ProbaClassifier):
                 tree = DecisionTree(
                     max_depth=self.max_depth,
                     min_samples_leaf=self.min_samples_leaf,
-                ).fit_regression(X, residual, _presorted=presorted)
-                leaves = tree.apply(X)
-                uniq = np.unique(leaves)
+                )
+                leaves = tree._mse_leaves(X, residual, presorted)
                 size = tree.node_count
                 num = np.bincount(leaves, weights=residual, minlength=size)
                 den = np.bincount(leaves, weights=p * (1.0 - p), minlength=size)
-                tree.value_[uniq, 0] = num[uniq] / np.maximum(den[uniq], 1e-12)
+                leaf = tree.feature_ < 0  # every leaf holds a fit row
+                tree.value_[leaf, 0] = num[leaf] / np.maximum(den[leaf], 1e-12)
                 trees.append(tree)
                 f += self.learning_rate * tree.value_[leaves, 0]
             self.priors_.append(prior)

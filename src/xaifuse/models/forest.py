@@ -4,6 +4,13 @@ Randomness is bootstrap resampling only; every tree sees all features, so a
 single-tree forest without bootstrap is exactly the base tree. Per-tree
 seeds derive from (seed, "tree", index), making results independent of
 build order.
+
+A bootstrap tree is fitted on the distinct drawn rows, each counted as
+often as it was drawn and weighted by that count (as scikit-learn does).
+Its class sums are integers, so they are exact, and the tree equals the one
+grown on the drawn rows with their repeats, bit for bit. Each tree's
+presort is the forest's one stable argsort of the training matrix, kept to
+the drawn rows.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import numpy as np
 
 from ..seeding import rng_for
 from .ovr import ProbaClassifier
-from .tree import DecisionTree, TreeStack
+from .tree import DecisionTree, TreeStack, _presort, _presort_rows
 
 
 class RandomForest(ProbaClassifier):
@@ -41,17 +48,26 @@ class RandomForest(ProbaClassifier):
         n = X.shape[0]
         self.classes_ = np.unique(y)
         self.trees_ = []
+        presorted = _presort(X)
         for t in range(self.n_estimators):
-            if self.bootstrap:
-                idx = rng_for(self.seed, "tree", t).integers(0, n, size=n)
-                xt, yt = X[idx], y[idx]
-            else:
-                xt, yt = X, y
             tree = DecisionTree(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 min_samples_split=self.min_samples_split,
-            ).fit(xt, yt)
+            )
+            if self.bootstrap:
+                # each drawn row once, standing for as many rows as its draws
+                idx = rng_for(self.seed, "tree", t).integers(0, n, size=n)
+                counts = np.bincount(idx, minlength=n)
+                rows = np.flatnonzero(counts)
+                tree.fit(
+                    X[rows],
+                    y[rows],
+                    _presorted=_presort_rows(presorted, rows),
+                    _counts=counts[rows],
+                )
+            else:
+                tree.fit(X, y, _presorted=presorted)
             self.trees_.append(tree)
         self._stack = TreeStack(self.trees_)
         # value_ is each stacked node's class distribution over classes_;

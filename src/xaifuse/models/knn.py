@@ -1,4 +1,12 @@
-"""k-nearest-neighbor classifier with chunked distance evaluation."""
+"""k-nearest-neighbor classifier with chunked distance evaluation.
+
+Query rows are scored in chunks of CHUNK_SIZE: one squared-distance block
+(CHUNK_SIZE x n_train) per chunk, from one GEMM. The k nearest of each row
+are then selected in sub-blocks of PARTITION_ROWS rows of that block, so
+the partition's index array stays PARTITION_ROWS x n_train instead of a
+second block-sized array. Every row is partitioned on its own, so neither
+size changes which neighbours a row gets.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +16,9 @@ from .ovr import ProbaClassifier
 
 # query rows per distance block; bounds the block at CHUNK_SIZE x n_train
 CHUNK_SIZE = 1024
+# distance rows per neighbour selection; bounds the partition's index array
+# at PARTITION_ROWS x n_train
+PARTITION_ROWS = 128
 
 
 def _sq_distances(q: np.ndarray, x: np.ndarray, sq_x: np.ndarray) -> np.ndarray:
@@ -61,8 +72,10 @@ class KnnClassifier(ProbaClassifier):
 
     def _neighbor_labels(self, q: np.ndarray, sq_train) -> np.ndarray:
         """Class index of each query row's k nearest training rows. The
-        distance block and the partition's index array die on return, so
-        they never overlap the next chunk's."""
+        distance block dies on return, so it never overlaps the next
+        chunk's. Each row is partitioned on its own, so selecting in
+        sub-blocks of PARTITION_ROWS rows picks what one partition of the
+        whole block would."""
         if self.p == 2.0:
             d = _sq_distances(q, self._x, sq_train)
         else:
@@ -72,9 +85,13 @@ class KnnClassifier(ProbaClassifier):
                 term **= self.p
                 d += term
         k = self.n_neighbors
-        if k < d.shape[1]:
-            return self._yi[np.argpartition(d, k - 1, axis=1)[:, :k]]
-        return np.broadcast_to(self._yi, d.shape)
+        if k == d.shape[1]:
+            return np.broadcast_to(self._yi, d.shape)
+        labels = np.empty((len(d), k), dtype=self._yi.dtype)
+        for lo in range(0, len(d), PARTITION_ROWS):
+            part = np.argpartition(d[lo : lo + PARTITION_ROWS], k - 1, axis=1)
+            labels[lo : lo + len(part)] = self._yi[part[:, :k]]
+        return labels
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

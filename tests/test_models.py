@@ -20,7 +20,7 @@ from xaifuse.models import (
 from xaifuse.models import _FAMILIES, knn, svm, tree
 from xaifuse.models.ovr import ProbaClassifier, ovr_proba, ovr_targets, softmax
 from xaifuse.models.svm import _rbf
-from xaifuse.seeding import derive_seed
+from xaifuse.seeding import derive_seed, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +530,102 @@ class TestTreeKernelAgainstPerFeatureBuilder:
         assert model.node_count == 1
 
 
+class TestCountedBootstrap:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        values=st.sampled_from(["grid", "normal"]),
+        n_classes=st.integers(1, 4),
+        rare=st.booleans(),
+        max_depth=st.sampled_from([0, 1, 3, 50]),
+        min_leaf=st.integers(1, 4),
+        min_split=st.integers(2, 5),
+        bootstrap=st.booleans(),
+    )
+    def test_each_tree_equals_the_tree_of_its_repeated_rows(
+        self, seed, values, n_classes, rare, max_depth, min_leaf, min_split, bootstrap
+    ):
+        X, y, _, _ = kernel_case(seed, values, "none", n_classes)
+        n = len(y)
+        if rare and n_classes > 1:
+            # one row of class 0: draws that miss it leave a class out
+            y = 1 + y % (n_classes - 1)
+            y[0] = 0
+        forest = RandomForest(
+            n_estimators=3,
+            max_depth=max_depth,
+            min_samples_leaf=min_leaf,
+            min_samples_split=min_split,
+            bootstrap=bootstrap,
+            seed=seed,
+        ).fit(X, y)
+        for t, fitted in enumerate(forest.trees_):
+            idx = rng_for(seed, "tree", t).integers(0, n, size=n) if bootstrap else np.arange(n)
+            want = per_feature_grow(
+                X[idx], y[idx], np.ones(n), False, max_depth, min_leaf, min_split
+            )
+            assert_bitwise_equal(tree_arrays(fitted), want)
+            np.testing.assert_array_equal(fitted.classes_, np.unique(y[idx]))
+
+    def test_presort_of_rows_equals_a_fresh_presort(self):
+        rng = np.random.default_rng(70)
+        X = rng.integers(0, 3, size=(50, 4)).astype(float)
+        X[:, 2] = rng.normal(size=50)
+        X[:, 3] = 1.0
+        X[40:, 1] = 5.0
+        full = tree._presort(X)
+        for rows in (np.arange(50), np.arange(40, 50), np.unique(rng.integers(0, 50, 50))):
+            for got, want in zip(tree._presort_rows(full, rows), tree._presort(X[rows])):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+
+class TestFitLeaves:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DecisionTree(max_depth=6),
+            lambda: RandomForest(n_estimators=4, seed=2),
+            lambda: AdaBoost(n_estimators=5, base_max_depth=2),
+            lambda: GradientBoosting(n_estimators=3, learning_rate=0.3, max_depth=3),
+        ],
+        ids=["decision_tree", "random_forest", "adaboost", "gradient_boosting"],
+    )
+    def test_grow_returns_the_leaf_each_fit_row_reaches(self, monkeypatch, make):
+        rng = np.random.default_rng(71)
+        X = rng.normal(size=(80, 4))
+        X[:, 1] = rng.integers(0, 3, 80)
+        y = rng.integers(0, 3, 80)
+        grown = []
+        grow = tree.DecisionTree._grow
+
+        def spy(self, stat, yi, w, cnt, presorted):
+            leaves = grow(self, stat, yi, w, cnt, presorted)
+            grown.append((self, presorted, leaves))
+            return leaves
+
+        monkeypatch.setattr(tree.DecisionTree, "_grow", spy)
+        make().fit(X, y)
+        assert grown
+        for fitted, (feats, xt, _), leaves in grown:
+            # the fit rows, rebuilt from the presort: a column it left out
+            # is constant there, and no split reads it
+            rows = np.zeros((xt.shape[1], X.shape[1]))
+            rows[:, feats] = xt.T
+            np.testing.assert_array_equal(fitted.apply(rows), leaves)
+            np.testing.assert_array_equal(leaves, per_tree_apply(fitted, rows))
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 8, 9, 15, 16, 17, 64, 129, 200, 300])
+    def test_bits_equal_a_sum_over_the_last_axis(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.random((3, 41, k)) * rng.choice([1e-8, 1.0, 1e8], size=(3, 41, k))
+        a *= a
+        got = tree._pairwise_sum([np.ascontiguousarray(a[..., c]) for c in range(k)])
+        np.testing.assert_array_equal(got, a.sum(axis=2))
+
+
 class TestStackedWalk:
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_forest_whose_bootstrap_misses_a_class(self, n_classes):
@@ -628,6 +724,20 @@ class TestKnn:
         whole = model.predict_proba(q)
         monkeypatch.setattr(knn, "CHUNK_SIZE", 7)
         np.testing.assert_array_equal(model.predict_proba(q), whole)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_selection_sub_blocks_do_not_change_the_labels(self, monkeypatch, rows):
+        rng = np.random.default_rng(14)
+        X = rng.integers(0, 3, size=(60, 3)).astype(float)  # many tied distances
+        y = rng.integers(0, 3, 60)
+        q = rng.integers(0, 3, size=(45, 3)).astype(float)
+        model = KnnClassifier(n_neighbors=4).fit(X, y)
+        sq = (X**2).sum(axis=1)
+        whole = model._neighbor_labels(q, sq)
+        proba = model.predict_proba(q)
+        monkeypatch.setattr(knn, "PARTITION_ROWS", rows)
+        np.testing.assert_array_equal(model._neighbor_labels(q, sq), whole)
+        np.testing.assert_array_equal(model.predict_proba(q), proba)
 
     def test_distances_match_plain_expression(self):
         rng = np.random.default_rng(37)
