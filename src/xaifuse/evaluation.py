@@ -161,10 +161,6 @@ def classification_metrics(
             float(np.mean([m.f1 for m in ms])),
         )
         positive_class = None
-    elif convention == "micro":
-        # single-label: micro precision = micro recall = accuracy
-        agg = (accuracy, accuracy, accuracy)
-        positive_class = None
     else:
         raise EvaluationError(f"unknown metrics convention: {convention!r}")
 

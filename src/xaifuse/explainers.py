@@ -195,7 +195,7 @@ def shap_values(model, instances: np.ndarray, background: np.ndarray) -> ShapMat
 def _leaf_boxes(model, cols: list[int], p: int):
     """(lo, hi, value) per leaf of a model whose predict_proba averages
     per-leaf class distributions, or None for any other model. A row
-    reaches a leaf iff lo < x <= hi on every feature (`apply` goes left on
+    reaches a leaf iff lo < x <= hi on every feature (the walk goes left on
     <=); value holds the leaf's share of the explained columns."""
     if not isinstance(model, (RandomForest, DecisionTree)):
         return None

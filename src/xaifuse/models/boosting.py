@@ -58,7 +58,7 @@ class AdaBoost(ProbaClassifier):
                 max_depth=self.base_max_depth,
                 min_samples_leaf=self.base_min_samples_leaf,
             )
-            leaves = tree._gini_leaves(X, yi, w, presorted)
+            leaves = tree._fit(X, yi, w, presorted)
             proba = tree.value_[leaves]
             self.trees_.append(tree)
             err = float(w @ (np.argmax(proba, axis=1) != yi))
@@ -122,7 +122,7 @@ class GradientBoosting(ProbaClassifier):
                     max_depth=self.max_depth,
                     min_samples_leaf=self.min_samples_leaf,
                 )
-                leaves = tree._mse_leaves(X, residual, presorted)
+                leaves = tree._fit(X, residual, presorted=presorted, regression=True)
                 size = tree.node_count
                 num = np.bincount(leaves, weights=residual, minlength=size)
                 den = np.bincount(leaves, weights=p * (1.0 - p), minlength=size)

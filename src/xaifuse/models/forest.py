@@ -60,14 +60,11 @@ class RandomForest(ProbaClassifier):
                 idx = rng_for(self.seed, "tree", t).integers(0, n, size=n)
                 counts = np.bincount(idx, minlength=n)
                 rows = np.flatnonzero(counts)
-                tree.fit(
-                    X[rows],
-                    y[rows],
-                    _presorted=_presort_rows(presorted, rows),
-                    _counts=counts[rows],
+                tree._fit(
+                    X[rows], y[rows], presorted=_presort_rows(presorted, rows), counts=counts[rows]
                 )
             else:
-                tree.fit(X, y, _presorted=presorted)
+                tree._fit(X, y, presorted=presorted)
             self.trees_.append(tree)
         self._stack = TreeStack(self.trees_)
         # value_ is each stacked node's class distribution over classes_;

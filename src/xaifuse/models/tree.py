@@ -2,9 +2,10 @@
 walker serve every tree family (decision tree, random forest, AdaBoost and
 the gradient-boosted judges).
 
-Building. `DecisionTree` grows a tree one depth level at a time and
-searches the splits of every node at that level over all features at once,
-in a (features, positions) layout, one array per statistic column:
+Building. `DecisionTree._fit`, the one way in for every family, grows a
+tree one depth level at a time and searches the splits of every node at
+that level over all features at once, in a (features, positions) layout,
+one array per statistic column:
 
 - A row may stand for several rows (a bootstrap draws some rows more than
   once): it carries a count, and node sizes, min_samples_leaf,
@@ -35,10 +36,8 @@ in a (features, positions) layout, one array per statistic column:
 - A candidate threshold is a midpoint strictly between two distinct
   adjacent values in one node that leaves at least min_samples_leaf rows
   on each side; the gain algebra runs over every adjacent pair at once and
-  keeps the candidates' gains. Its sum over the columns adds them in the
-  order numpy's `sum(axis=-1)` would over a (features, positions, columns)
-  array, so float weights give the bits of that layout for any number of
-  classes.
+  keeps the candidates' gains. Its sum over the columns adds them one
+  after another in column order.
 - Each node takes its highest gain. Ties resolve to the lowest feature
   index, then the lowest threshold, so a refit is bit-for-bit
   reproducible. No randomness anywhere.
@@ -52,9 +51,10 @@ label matrix for gini and the target column for mse.
 
 Walking. `TreeStack` concatenates the node arrays of an ensemble's trees
 with per-tree offsets and walks every tree for a block of rows together,
-in blocks of at most CELL_BUDGET (row, tree) cells. `DecisionTree.apply` is
-that walk over one tree. Ensembles add their trees' leaf values in tree
-order, so their sums do not depend on how the walk is blocked.
+in blocks of at most CELL_BUDGET (row, tree) cells. A fitted
+`DecisionTree` walks a stack of itself; an ensemble stacks its members,
+which build no walker of their own. Ensembles add their trees' leaf values
+in tree order, so their sums do not depend on how the walk is blocked.
 """
 
 from __future__ import annotations
@@ -109,32 +109,6 @@ def _left_sums(v: np.ndarray, order: np.ndarray, base: np.ndarray, out=None) -> 
     return np.subtract(cum[:, 1:m], np.take(cum, base, axis=1), out=out)
 
 
-def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """The elementwise sum of terms, added in the order np.add.reduce takes
-    along a contiguous axis (one after another below 8 terms, in 8 running
-    sums up to 128, halves beyond), so its bits equal those of
-    np.stack(terms, axis=-1).sum(axis=-1). Adds into the arrays of terms."""
-    n = len(terms)
-    if n < 8:
-        out = terms[0]
-        for t in terms[1:]:
-            out += t
-        return out
-    if n <= 128:
-        acc = terms[:8]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            for j in range(8):
-                acc[j] += terms[i + j]
-        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for t in terms[tail:]:
-            out += t
-        return out
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-
-
 def _best_splits(
     xt, order, seg, start, stat, w, cnt, tot, tw, tn, parent_score, splittable, min_leaf
 ):
@@ -185,9 +159,12 @@ def _best_splits(
     rights = np.subtract(tot.T[:, s0][:, None, :], lefts)
     lefts *= lefts
     rights *= rights
+    for c in range(1, len(stat)):  # in column order, which fixes the float bits
+        lefts[0] += lefts[c]
+        rights[0] += rights[c]
     with np.errstate(invalid="ignore", divide="ignore"):
-        gain = _pairwise_sum(list(lefts)) / left_w
-        sr = _pairwise_sum(list(rights)) / right_w
+        gain = lefts[0] / left_w
+        sr = rights[0] / right_w
     if w is not None:  # a side of zero-weight rows scores 0 (a counted row weighs 1 or more)
         gain[~(left_w > 0)] = 0.0
         sr[~(right_w > 0)] = 0.0
@@ -235,8 +212,8 @@ def _child_order(order, go_right, n_left, n_right):
 
 
 class DecisionTree(ProbaClassifier):
-    """CART-style tree for weighted classification (gini, `fit`) or
-    regression (mse, `fit_regression`).
+    """CART-style tree for weighted classification (gini, `fit`); the
+    gradient-boosted judges grow regression trees (mse) through `_fit`.
 
     After fit the tree is a set of flat arrays: feature_ (-1 marks a leaf),
     threshold_, children_left_, children_right_, value_ (class distribution
@@ -258,27 +235,28 @@ class DecisionTree(ProbaClassifier):
 
     # -- fitting ---------------------------------------------------------
 
-    def fit(self, X, y, sample_weight=None, _presorted=None, _counts=None) -> "DecisionTree":
-        """Grow a classification tree (gini) on labels y. `_presorted` is
-        `_presort(X)`, for callers that grow many trees on one X. `_counts`
-        (without sample_weight) gives how many rows each row of X stands
-        for: the tree is the one grown on X with each row repeated that
-        many times."""
-        self._gini_leaves(X, y, sample_weight, _presorted, _counts)
+    def fit(self, X, y, sample_weight=None) -> "DecisionTree":
+        """Grow a classification tree (gini) on labels y."""
+        self._fit(X, y, sample_weight)
+        self._stack = TreeStack([self])
         return self
 
-    def fit_regression(self, X, y, _presorted=None) -> "DecisionTree":
-        """Grow a regression tree (mse) on real targets y, every row weight 1."""
-        self._mse_leaves(X, y, _presorted)
-        return self
-
-    def _gini_leaves(self, X, y, sample_weight=None, presorted=None, counts=None) -> np.ndarray:
-        """`fit`; returns the leaf each row of X reached."""
+    def _fit(self, X, y, w=None, presorted=None, counts=None, regression=False) -> np.ndarray:
+        """Grow a gini tree on labels y, or with regression an mse tree on
+        real targets y, every row weight 1; returns the leaf each row of X
+        reached. w holds row weights; counts (without w) gives how many rows
+        each row of X stands for: the tree is the one grown on X with each
+        row repeated that many times. presorted is `_presort(X)`, for
+        ensembles that grow many trees on one X. Builds no walker: the
+        ensembles stack their trees themselves."""
         X = _check_rows(X)
+        presorted = presorted or _presort(X)
+        if regression:
+            stat = np.asarray(y, dtype=np.float64)[None, :]
+            return self._grow(stat, None, None, None, presorted)
         n = X.shape[0]
-        w = None
-        if sample_weight is not None:
-            w = np.asarray(sample_weight, dtype=np.float64)
+        if w is not None:
+            w = np.asarray(w, dtype=np.float64)
             if w.shape != (n,) or np.any(w < 0):
                 raise ValueError("sample_weight must be nonnegative with one entry per row")
         self.classes_, yi = np.unique(np.asarray(y), return_inverse=True)
@@ -287,14 +265,7 @@ class DecisionTree(ProbaClassifier):
         row_w = counts if w is None else w
         stat = np.zeros((len(self.classes_), n), dtype=np.int64 if w is None else np.float64)
         stat[yi, np.arange(n)] = 1 if row_w is None else row_w
-        return self._grow(stat, yi, w, counts, presorted or _presort(X))
-
-    def _mse_leaves(self, X, y, presorted=None) -> np.ndarray:
-        """`fit_regression`; returns the leaf each row of X reached."""
-        X = _check_rows(X)
-        self.classes_ = None
-        stat = np.asarray(y, dtype=np.float64)[None, :]
-        return self._grow(stat, None, None, None, presorted or _presort(X))
+        return self._grow(stat, yi, w, counts, presorted)
 
     def _grow(self, stat: np.ndarray, yi, w, cnt, presorted) -> np.ndarray:
         """Grow on stat, (statistic columns, rows); yi holds the class index
@@ -409,19 +380,12 @@ class DecisionTree(ProbaClassifier):
         self.children_right_ = right.astype(np.int64)
         self.n_node_samples_ = n_samples.astype(np.int64)
         self.value_ = value
-        self._stack = TreeStack([self])
         return leaf_of
 
     # -- inference -------------------------------------------------------
 
-    def apply(self, X) -> np.ndarray:
-        """Leaf node id for each row."""
-        return self._stack.apply(X)[:, 0]
-
     def predict_proba(self, X) -> np.ndarray:
-        if self.classes_ is None:
-            raise ValueError("probability output requires a classification tree")
-        return self.value_[self.apply(X)]
+        return self.value_[self._stack.apply(X)[:, 0]]
 
     @property
     def node_count(self) -> int:

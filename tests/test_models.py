@@ -323,10 +323,11 @@ class TestDecisionTreeAgainstReference:
         y = rng.integers(-5, 6, size=n).astype(float)
         w = np.ones(n)
         depth = int(rng.integers(1, 6))
-        tree = DecisionTree(max_depth=depth, min_samples_leaf=2).fit_regression(X, y)
+        tree = DecisionTree(max_depth=depth, min_samples_leaf=2)
+        tree._fit(X, y, regression=True)
         ref = ref_build(X, y.astype(int), w, "mse", depth, 2, 2, 1)
         grid = rng.integers(-1, 7, size=(150, 3)).astype(float)
-        got = tree.value_[tree.apply(grid), 0]
+        got = tree.value_[per_tree_apply(tree, grid), 0]
         want = np.array([ref_predict_value(ref, row)[0] for row in grid])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -471,7 +472,7 @@ class TestTreeKernelAgainstPerFeatureBuilder:
         weight = np.ones(len(y)) if w is None else w
         want = per_feature_grow(X, y, weight, False, max_depth, min_leaf, min_split)
         assert_bitwise_equal(tree_arrays(model), want)
-        np.testing.assert_array_equal(model.apply(X), per_tree_apply(model, X))
+        np.testing.assert_array_equal(model._stack.apply(X)[:, 0], per_tree_apply(model, X))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -482,11 +483,14 @@ class TestTreeKernelAgainstPerFeatureBuilder:
     )
     def test_regression_tree_is_bitwise_equal(self, seed, values, max_depth, min_leaf):
         X, _, _, target = kernel_case(seed, values, "none", 1)
-        model = DecisionTree(max_depth, min_leaf).fit_regression(X, target)
+        model = DecisionTree(max_depth, min_leaf)
+        model._fit(X, target, regression=True)
         want = per_feature_grow(X, target, None, True, max_depth, min_leaf, 2)
         assert_bitwise_equal(tree_arrays(model), want)
         grid = X + np.random.default_rng(seed).normal(scale=0.5, size=X.shape)
-        np.testing.assert_array_equal(model.apply(grid), per_tree_apply(model, grid))
+        np.testing.assert_array_equal(
+            tree.TreeStack([model]).apply(grid)[:, 0], per_tree_apply(model, grid)
+        )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_prefix_sums_run_over_every_active_row(self, seed):
@@ -497,7 +501,8 @@ class TestTreeKernelAgainstPerFeatureBuilder:
         n = int(rng.integers(60, 200))
         X = rng.normal(size=(n, 3))
         target = rng.random(n) - 0.5
-        model = DecisionTree(max_depth=8).fit_regression(X, target)
+        model = DecisionTree(max_depth=8)
+        model._fit(X, target, regression=True)
         assert_bitwise_equal(
             tree_arrays(model), per_feature_grow(X, target, None, True, 8, 1, 2)
         )
@@ -517,7 +522,7 @@ class TestTreeKernelAgainstPerFeatureBuilder:
         assert_bitwise_equal(
             tree_arrays(model), per_feature_grow(X, y, w, False, 3, 1, 2)
         )
-        leaf = model.apply(X[:1])[0]
+        leaf = per_tree_apply(model, X[:1])[0]
         assert model.n_node_samples_[leaf] == 1
         np.testing.assert_array_equal(model.value_[leaf], [0.0, 1.0])
 
@@ -597,33 +602,44 @@ class TestFitLeaves:
         X[:, 1] = rng.integers(0, 3, 80)
         y = rng.integers(0, 3, 80)
         grown = []
-        grow = tree.DecisionTree._grow
+        fit = tree.DecisionTree._fit
 
-        def spy(self, stat, yi, w, cnt, presorted):
-            leaves = grow(self, stat, yi, w, cnt, presorted)
-            grown.append((self, presorted, leaves))
+        def spy(self, rows, *args, **kwargs):
+            leaves = fit(self, rows, *args, **kwargs)
+            grown.append((self, np.asarray(rows, dtype=np.float64), leaves))
             return leaves
 
-        monkeypatch.setattr(tree.DecisionTree, "_grow", spy)
+        monkeypatch.setattr(tree.DecisionTree, "_fit", spy)
         make().fit(X, y)
         assert grown
-        for fitted, (feats, xt, _), leaves in grown:
-            # the fit rows, rebuilt from the presort: a column it left out
-            # is constant there, and no split reads it
-            rows = np.zeros((xt.shape[1], X.shape[1]))
-            rows[:, feats] = xt.T
-            np.testing.assert_array_equal(fitted.apply(rows), leaves)
+        for fitted, rows, leaves in grown:
+            np.testing.assert_array_equal(tree.TreeStack([fitted]).apply(rows)[:, 0], leaves)
             np.testing.assert_array_equal(leaves, per_tree_apply(fitted, rows))
 
 
-class TestPairwiseSum:
-    @pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 8, 9, 15, 16, 17, 64, 129, 200, 300])
-    def test_bits_equal_a_sum_over_the_last_axis(self, k):
-        rng = np.random.default_rng(k)
-        a = rng.random((3, 41, k)) * rng.choice([1e-8, 1.0, 1e8], size=(3, 41, k))
-        a *= a
-        got = tree._pairwise_sum([np.ascontiguousarray(a[..., c]) for c in range(k)])
-        np.testing.assert_array_equal(got, a.sum(axis=2))
+def per_tree_proba(model, X):
+    """predict_proba of a fitted forest, AdaBoost or gradient boosting
+    model, walking each member tree on its own and adding in tree order."""
+    if isinstance(model, RandomForest):
+        want = np.zeros((len(X), len(model.classes_)))
+        for t in model.trees_:
+            cols = np.searchsorted(model.classes_, t.classes_)
+            want[:, cols] += t.value_[per_tree_apply(t, X)]
+        return want / len(model.trees_)
+    if isinstance(model, AdaBoost):
+        k = float(len(model.classes_))
+        want = np.zeros((len(X), len(model.classes_)))
+        for t in model.trees_:
+            log_p = np.log(np.maximum(t.value_[per_tree_apply(t, X)], 1e-10))
+            want += (k - 1.0) * (log_p - log_p.mean(axis=1, keepdims=True))
+        return softmax(want / len(model.trees_) / (k - 1.0))
+    raw = []
+    for prior, trees in zip(model.priors_, model.trees_):
+        want = np.full(len(X), prior)
+        for t in trees:
+            want += model.learning_rate * t.value_[per_tree_apply(t, X), 0]
+        raw.append(want)
+    return ovr_proba(np.column_stack(raw))
 
 
 class TestStackedWalk:
@@ -636,12 +652,7 @@ class TestStackedWalk:
         forest = RandomForest(n_estimators=8, seed=3).fit(X, y)
         assert any(len(t.classes_) < n_classes for t in forest.trees_)
         grid = np.vstack([X, rng.normal(size=(30, 3))])
-        want = np.zeros((len(grid), n_classes))
-        for t in forest.trees_:
-            cols = np.searchsorted(forest.classes_, t.classes_)
-            want[:, cols] += t.value_[per_tree_apply(t, grid)]
-        want /= len(forest.trees_)
-        np.testing.assert_array_equal(forest.predict_proba(grid), want)
+        np.testing.assert_array_equal(forest.predict_proba(grid), per_tree_proba(forest, grid))
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_adaboost_votes(self, n_classes):
@@ -650,29 +661,36 @@ class TestStackedWalk:
         y = rng.integers(0, n_classes, 80)
         model = AdaBoost(n_estimators=12, base_max_depth=2).fit(X, y)
         assert len(model.trees_) > 1
-        k = float(n_classes)
-        want = np.zeros((len(X), n_classes))
-        for t in model.trees_:
-            log_p = np.log(np.maximum(t.value_[per_tree_apply(t, X)], 1e-10))
-            want += (k - 1.0) * (log_p - log_p.mean(axis=1, keepdims=True))
-        np.testing.assert_array_equal(
-            model.predict_proba(X), softmax(want / len(model.trees_) / (k - 1.0))
-        )
+        np.testing.assert_array_equal(model.predict_proba(X), per_tree_proba(model, X))
 
     def test_gradient_boosting_raw_scores(self):
         rng = np.random.default_rng(60)
         X = rng.normal(size=(70, 3))
         y = rng.integers(0, 3, 70)
         model = GradientBoosting(n_estimators=6, learning_rate=0.3, max_depth=3).fit(X, y)
-        raw = []
-        for prior, trees in zip(model.priors_, model.trees_):
-            want = np.full(len(X), prior)
-            for t in trees:
-                want += model.learning_rate * t.value_[per_tree_apply(t, X), 0]
-            raw.append(want)
-        np.testing.assert_array_equal(
-            model.predict_proba(X), ovr_proba(np.column_stack(raw))
-        )
+        np.testing.assert_array_equal(model.predict_proba(X), per_tree_proba(model, X))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RandomForest(n_estimators=4, max_depth=4, seed=5),
+            lambda: AdaBoost(n_estimators=4, base_max_depth=2),
+            lambda: GradientBoosting(n_estimators=3, learning_rate=0.3, max_depth=3),
+        ],
+        ids=["random_forest", "adaboost", "gradient_boosting"],
+    )
+    def test_members_build_no_walker(self, make):
+        # only the ensemble's one stack is walked; its members keep their
+        # node arrays and nothing else
+        rng = np.random.default_rng(62)
+        X = rng.normal(size=(60, 3))
+        y = rng.integers(0, 3, 60)
+        model = make().fit(X, y)
+        members = np.ravel(model.trees_)
+        assert len(members) > 1
+        assert not any(hasattr(t, "_stack") for t in members)
+        grid = np.vstack([X, rng.normal(size=(20, 3))])
+        np.testing.assert_array_equal(model.predict_proba(grid), per_tree_proba(model, grid))
 
     def test_row_blocks_do_not_change_the_sums(self, monkeypatch):
         rng = np.random.default_rng(61)
@@ -691,7 +709,9 @@ class TestStackedWalk:
         y = np.arange(40) % 2
         model = DecisionTree().fit(X, y)
         grid = np.linspace(-1, 41, 200)[:, None]
-        np.testing.assert_array_equal(model.apply(grid), per_tree_apply(model, grid))
+        np.testing.assert_array_equal(
+            model._stack.apply(grid)[:, 0], per_tree_apply(model, grid)
+        )
 
 
 class TestKnn:
