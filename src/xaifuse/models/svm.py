@@ -8,8 +8,15 @@ updates_per_row * n to bound runtime on hard problems.
 
 Probabilities come from a sigmoid fit to the decision values on the
 training set (Platt's regularized targets, Newton solve). One-vs-rest:
-`_smo` solves one machine per scorer on the shared Gram matrix, and
-multiclass rows normalize the sigmoids.
+`_smo` solves one machine per scorer, and multiclass rows normalize the
+sigmoids.
+
+No n x n Gram matrix is built. As in LIBSVM (Chang & Lin 2011), a fit reads
+the training kernel through `_KernelRows`, which computes a row the first
+time SMO or the Platt step reads it and keeps it until `fit` returns. SMO
+reads only the rows of the pairs it tries to update, and the Platt step
+those of the support vectors, so a fit holds at most n rows and usually a
+small share of them.
 """
 
 from __future__ import annotations
@@ -28,6 +35,40 @@ def _rbf(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     np.maximum(d, 0.0, out=d)
     d *= -gamma
     return np.exp(d, out=d)
+
+
+class _KernelRows:
+    """The RBF kernel of one fit's training rows, read one row at a time.
+
+    Row j is exp(-gamma * d), where d sums (x_f - x_jf)**2 over the features
+    in feature order, so K[i, j] == K[j, i] and K[i, i] == 1 exactly. Each
+    row is computed on its first read and kept.
+    """
+
+    def __init__(self, X: np.ndarray, gamma: float):
+        self._X = X
+        self._gamma = gamma
+        self._rows: dict[int, np.ndarray] = {}
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        j = int(j)
+        row = self._rows.get(j)
+        if row is None:
+            d = np.zeros(len(self._X))
+            for col in self._X.T:
+                diff = col - col[j]
+                diff *= diff
+                d += diff
+            d *= -self._gamma
+            row = self._rows[j] = np.exp(d, out=d)
+        return row
+
+    def stack(self, idx: np.ndarray) -> np.ndarray:
+        """Rows `idx` as one len(idx) x n array."""
+        out = np.empty((len(idx), len(self._X)))
+        for k, j in enumerate(idx):
+            out[k] = self[j]
+        return out
 
 
 def _platt_fit(scores: np.ndarray, labels01: np.ndarray) -> tuple[float, float]:
@@ -59,10 +100,11 @@ def _platt_fit(scores: np.ndarray, labels01: np.ndarray) -> tuple[float, float]:
 
 
 def _smo(
-    gram: np.ndarray, y_pm: np.ndarray, c: float, tol: float, max_updates: int
+    rows: _KernelRows, y_pm: np.ndarray, c: float, tol: float, max_updates: int
 ) -> tuple[np.ndarray, float]:
     """The dual coefficients and intercept of one machine for labels coded
-    -1/+1, given the training Gram matrix."""
+    -1/+1. `rows[j]` is row j of the training RBF kernel, whose diagonal is
+    1; a dense symmetric kernel array serves as well."""
     n = len(y_pm)
     alpha = np.zeros(n)
     b = 0.0
@@ -91,7 +133,8 @@ def _smo(
                 hi = min(c, ai_old + aj_old)
             if lo >= hi:
                 continue
-            eta = 2.0 * gram[i, j] - gram[i, i] - gram[j, j]
+            kij = rows[j][i]
+            eta = 2.0 * kij - 2.0
             if eta >= 0:
                 continue
             aj = aj_old - yj * (ei - ej) / eta
@@ -102,15 +145,15 @@ def _smo(
             alpha[i], alpha[j] = ai, aj
             di = yi * (ai - ai_old)
             dj = yj * (aj - aj_old)
-            b1 = b - ei - di * gram[i, i] - dj * gram[i, j]
-            b2 = b - ej - di * gram[i, j] - dj * gram[j, j]
+            b1 = b - ei - di - dj * kij
+            b2 = b - ej - di * kij - dj
             if 0 < ai < c:
                 b_new = b1
             elif 0 < aj < c:
                 b_new = b2
             else:
                 b_new = (b1 + b2) / 2.0
-            err += di * gram[i] + dj * gram[j] + (b_new - b)
+            err += di * rows[i] + dj * rows[j] + (b_new - b)
             b = b_new
             changed += 1
             updates += 1
@@ -122,9 +165,10 @@ def _smo(
 
 class SvmRbf(ProbaClassifier):
     """RBF-kernel SVM with one binary machine per one-vs-rest scorer. `fit`
-    holds the training Gram matrix as one float64 n x n array, 8n² bytes,
-    that every machine shares, and keeps per scorer its support vectors,
-    dual coefficients, intercept and Platt pair."""
+    reads the training kernel through one `_KernelRows` that every machine
+    shares and that is dropped when `fit` returns; the rows it computes are
+    8n bytes each, at most n of them. The model keeps per scorer its
+    support vectors, dual coefficients, intercept and Platt pair."""
 
     def __init__(
         self,
@@ -147,17 +191,17 @@ class SvmRbf(ProbaClassifier):
         n, p = X.shape
         self.classes_, targets = ovr_targets(y)
         self.gamma_ = 1.0 / p if self.gamma == "auto" else float(self.gamma)
-        gram = _rbf(X, X, self.gamma_)
+        rows = _KernelRows(X, self.gamma_)
         self.support_vectors_, self.dual_coef_, self.intercept_, self.platt_ = [], [], [], []
         for t in targets:
             y_pm = 2.0 * t - 1.0
-            alpha, b = _smo(gram, y_pm, self.c, self.tol, self.updates_per_row * n)
-            sv = alpha > 1e-12
+            alpha, b = _smo(rows, y_pm, self.c, self.tol, self.updates_per_row * n)
+            sv = np.flatnonzero(alpha > 1e-12)
             coef = alpha[sv] * y_pm[sv]
             self.support_vectors_.append(X[sv])
             self.dual_coef_.append(coef)
             self.intercept_.append(b)
-            self.platt_.append(_platt_fit(gram[:, sv] @ coef + b, y_pm == 1))
+            self.platt_.append(_platt_fit(coef @ rows.stack(sv) + b, y_pm == 1))
         return self
 
     def predict_proba(self, X) -> np.ndarray:

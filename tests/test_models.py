@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -857,20 +859,66 @@ class TestSvm:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
-    def test_gram_is_float64_past_4096_rows(self, monkeypatch):
+    def test_kernel_rows_equal_a_per_cell_fold(self):
+        rng = np.random.default_rng(38)
+        X = rng.normal(size=(31, 5))
+        X[7] = X[3]
+        n, p = X.shape
+        rows = svm._KernelRows(X, 0.3)
+        got = rows.stack(np.arange(n))
+        d = np.zeros((n, n))
+        for j in range(n):
+            for i in range(n):
+                acc = 0.0
+                for f in range(p):
+                    diff = X[i, f] - X[j, f]
+                    acc += diff * diff
+                d[j, i] = acc
+        want = np.exp(-0.3 * d)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert (got == got.T).all()
+        assert (np.diag(got) == 1.0).all()
+        assert got[3, 7] == 1.0
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_smo_on_lazy_rows_equals_smo_on_dense_rows(self, n_classes):
+        rng = np.random.default_rng(39 + n_classes)
+        X = rng.normal(size=(150, 4))
+        y = np.digitize(X[:, 0] + 0.5 * X[:, 1] * X[:, 2], [-0.4, 0.4][: n_classes - 1])
+        rows = svm._KernelRows(X, 0.25)
+        for t in ovr_targets(y)[1]:
+            y_pm = 2.0 * t - 1.0
+            lazy_alpha, lazy_b = svm._smo(rows, y_pm, 1.0, 1e-3, 1500)
+            dense = rows.stack(np.arange(len(X)))
+            dense_alpha, dense_b = svm._smo(dense, y_pm, 1.0, 1e-3, 1500)
+            assert (lazy_alpha > 0).any()
+            assert lazy_alpha.tobytes() == dense_alpha.tobytes()
+            assert np.float64(lazy_b).tobytes() == np.float64(dense_b).tobytes()
+
+    def test_fit_holds_no_gram_past_4096_rows(self, monkeypatch):
         rng = np.random.default_rng(37)
         X = np.vstack([rng.normal(-2, 0.4, (2049, 2)), rng.normal(2, 0.4, (2048, 2))])
         y = np.array([0] * 2049 + [1] * 2048)
-        seen = []
-        smo = svm._smo
+        n = len(X)
+        dtypes = set()
+        read = svm._KernelRows.__getitem__
 
-        def spy(gram, *args):
-            seen.append(gram.dtype)
-            return smo(gram, *args)
+        def spy(rows, j):
+            row = read(rows, j)
+            dtypes.add(row.dtype)
+            return row
 
-        monkeypatch.setattr(svm, "_smo", spy)
-        model = SvmRbf().fit(X, y)
-        assert seen == [np.float64]
+        monkeypatch.setattr(svm._KernelRows, "__getitem__", spy)
+        tracemalloc.start()
+        try:
+            model = SvmRbf().fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an eighth of a float64 n x n Gram matrix
+        assert peak < 8 * n * n / 8
+        assert dtypes == {np.dtype(np.float64)}
         assert (model.predict(X) == y).all()
 
 
