@@ -1,38 +1,34 @@
-"""k-nearest-neighbor classifier with chunked distance evaluation.
+"""k-nearest-neighbor classifier scored in cache-sized blocks.
 
-Query rows are scored in chunks of CHUNK_SIZE: one squared-distance block
-(CHUNK_SIZE x n_train) per chunk, from one GEMM. The k nearest of each row
-are then selected in sub-blocks of PARTITION_ROWS rows of that block, so
-the partition's index array stays PARTITION_ROWS x n_train instead of a
-second block-sized array. Every row is partitioned on its own, so neither
-size changes which neighbours a row gets.
+Query rows are scored in the blocks of `ovr.row_blocks`: about
+BLOCK_CELLS // n_train rows each, and never one row alone unless the query
+has one row, since a one-row product takes BLAS gemv and rounds its
+distances differently. Each block gets one squared-distance array
+(rows x n_train) from one GEMM, and one `argpartition` over that array
+selects every row's k nearest. Both arrays stay in cache. Each row is
+partitioned on its own, and its distances have the same bits in every
+block of two or more rows, so the block size does not change which
+neighbours a row gets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ovr import ProbaClassifier
-
-# query rows per distance block; bounds the block at CHUNK_SIZE x n_train
-CHUNK_SIZE = 1024
-# distance rows per neighbour selection; bounds the partition's index array
-# at PARTITION_ROWS x n_train
-PARTITION_ROWS = 128
+from .ovr import ProbaClassifier, row_blocks
 
 
-def _sq_distances(q: np.ndarray, x: np.ndarray, sq_x: np.ndarray) -> np.ndarray:
+def _sq_distances(q: np.ndarray, x: np.ndarray, sq_x: np.ndarray, d: np.ndarray) -> None:
     """Squared euclidean distances between the rows of q and of x (sq_x =
-    (x**2).sum(1)), clipped at 0. Built in place, so the result is the only
-    q-by-x temporary; the bits equal those of the plain expression
+    (x**2).sum(1)), clipped at 0, written into the len(q) x len(x) array d
+    with no q-by-x temporary; the bits equal those of the plain expression
     (q**2).sum(1)[:, None] - 2.0 * q @ x.T + sq_x. The factor goes on q
     first, as there: `q @ q.T` would take a symmetric BLAS product that
     rounds differently."""
-    d = (-2.0 * q) @ x.T
+    np.matmul(-2.0 * q, x.T, out=d)
     d += (q**2).sum(axis=1)[:, None]
     d += sq_x
     np.maximum(d, 0.0, out=d)
-    return d
 
 
 class KnnClassifier(ProbaClassifier):
@@ -63,23 +59,23 @@ class KnnClassifier(ProbaClassifier):
         n_classes = len(self.classes_)
         votes = np.zeros((X.shape[0], n_classes))
         sq_train = (self._x**2).sum(axis=1) if self.p == 2.0 else None
-        for lo in range(0, X.shape[0], CHUNK_SIZE):
-            labels = self._neighbor_labels(X[lo : lo + CHUNK_SIZE], sq_train)
-            votes[lo : lo + len(labels)] = (
-                labels[:, :, None] == np.arange(n_classes)
-            ).sum(axis=1)
+        blocks = row_blocks(X.shape[0], len(self._x))
+        # one distance array serves every block: a fresh one per block can
+        # be handed out by mmap and page-faulted in each time
+        dist = np.empty((max((b.stop - b.start for b in blocks), default=0), len(self._x)))
+        for rows in blocks:
+            labels = self._neighbor_labels(X[rows], sq_train, dist[: rows.stop - rows.start])
+            votes[rows] = (labels[:, :, None] == np.arange(n_classes)).sum(axis=1)
         return votes
 
-    def _neighbor_labels(self, q: np.ndarray, sq_train) -> np.ndarray:
-        """Class index of each query row's k nearest training rows. The
-        distance block dies on return, so it never overlaps the next
-        chunk's. Each row is partitioned on its own, so selecting in
-        sub-blocks of PARTITION_ROWS rows picks what one partition of the
-        whole block would."""
+    def _neighbor_labels(self, q: np.ndarray, sq_train, d: np.ndarray) -> np.ndarray:
+        """Class indices of the k nearest training rows of each row of the
+        block q, from one partition of the distances that this writes into
+        the len(q) x n_train array d."""
         if self.p == 2.0:
-            d = _sq_distances(q, self._x, sq_train)
+            _sq_distances(q, self._x, sq_train, d)
         else:
-            d = np.zeros((len(q), len(self._x)))
+            d.fill(0.0)
             for j in range(q.shape[1]):  # one feature at a time: no p-fold temporary
                 term = np.abs(np.subtract.outer(q[:, j], self._x[:, j]))
                 term **= self.p
@@ -87,11 +83,7 @@ class KnnClassifier(ProbaClassifier):
         k = self.n_neighbors
         if k == d.shape[1]:
             return np.broadcast_to(self._yi, d.shape)
-        labels = np.empty((len(d), k), dtype=self._yi.dtype)
-        for lo in range(0, len(d), PARTITION_ROWS):
-            part = np.argpartition(d[lo : lo + PARTITION_ROWS], k - 1, axis=1)
-            labels[lo : lo + len(part)] = self._yi[part[:, :k]]
-        return labels
+        return self._yi[np.argpartition(d, k - 1, axis=1)[:, :k]]
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -5,6 +5,12 @@ prediction shared by the classifier families. All nine families are
 A binary problem gets one scorer whose positive class is the higher label;
 a multiclass problem gets one scorer per class. Each scorer's raw score goes
 through the sigmoid, and multiclass rows are normalized to sum to one.
+
+The families that score query rows against stored rows (kNN against its
+training rows, the SVM against each machine's support vectors, the tree
+walker against its trees) score them in the row blocks of `row_blocks`, so
+one block's (rows x stored rows) array of 8-byte cells holds about
+BLOCK_CELLS cells and stays in cache.
 """
 
 from __future__ import annotations
@@ -41,6 +47,27 @@ def ovr_proba(scores: np.ndarray) -> np.ndarray:
     total = probs.sum(axis=1, keepdims=True)
     total[total == 0] = 1.0
     return probs / total
+
+
+# cells of one kNN distance, SVM kernel or tree walk block: 512 KiB. kNN
+# scored fastest at 2^16 to 2^17 cells against 1,400, 3,360 and 7,000
+# training rows
+BLOCK_CELLS = 1 << 16
+
+
+def row_blocks(n_rows: int, cols: int, multiple: int = 1) -> list[slice]:
+    """Consecutive slices over n_rows query rows, each scored as one
+    (rows x cols) block. A block starts every `step` rows: the largest
+    multiple of `multiple` with step * cols <= BLOCK_CELLS, but at least
+    max(2, multiple). A one-row tail joins the block before it, because
+    numpy scores a one-row product through BLAS gemv, which rounds
+    differently from the gemm of a block of two or more rows."""
+    step = max(2, multiple, BLOCK_CELLS // max(1, cols) // multiple * multiple)
+    bounds = list(range(0, n_rows, step))
+    if len(bounds) > 1 and n_rows - bounds[-1] == 1:
+        bounds.pop()
+    bounds.append(n_rows)
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 class ProbaClassifier:

@@ -51,20 +51,18 @@ label matrix for gini and the target column for mse.
 
 Walking. `TreeStack` concatenates the node arrays of an ensemble's trees
 with per-tree offsets and walks every tree for a block of rows together,
-in blocks of at most CELL_BUDGET (row, tree) cells. A fitted
-`DecisionTree` walks a stack of itself; an ensemble stacks its members,
-which build no walker of their own. Ensembles add their trees' leaf values
-in tree order, so their sums do not depend on how the walk is blocked.
+in the row blocks of `ovr.row_blocks`, about BLOCK_CELLS (row, tree) cells
+each. A fitted `DecisionTree` walks a stack of itself; an ensemble stacks
+its members, which build no walker of their own. Ensembles add their
+trees' leaf values in tree order, so their sums do not depend on how the
+walk is blocked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ovr import ProbaClassifier
-
-# (row, tree) cells per walk block; bounds the walker's temporaries
-CELL_BUDGET = 1 << 16
+from .ovr import ProbaClassifier, row_blocks
 
 
 def _check_rows(X) -> np.ndarray:
@@ -430,24 +428,20 @@ class TreeStack:
         """(rows, trees) stacked id of the leaf each row reaches in each tree."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         leaves = np.empty((X.shape[0], len(self.roots)), dtype=np.int64)
-        for lo, hi in self._blocks(X.shape[0]):
-            leaves[lo:hi] = self._walk(X[lo:hi])
+        for rows in row_blocks(X.shape[0], len(self.roots)):
+            leaves[rows] = self._walk(X[rows])
         return leaves
 
     def tree_sum(self, X, values: np.ndarray, start: np.ndarray) -> np.ndarray:
         """start plus values[leaf] of each tree in tree order, per row of X;
         values holds one entry (or row) per stacked node."""
         X = np.ascontiguousarray(X, dtype=np.float64)
-        for lo, hi in self._blocks(X.shape[0]):
-            leaves = self._walk(X[lo:hi])
-            block = start[lo:hi]
+        for rows in row_blocks(X.shape[0], len(self.roots)):
+            leaves = self._walk(X[rows])
+            block = start[rows]
             for t in range(leaves.shape[1]):
                 block += values[leaves[:, t]]
         return start
-
-    def _blocks(self, n: int):
-        step = max(1, CELL_BUDGET // max(1, len(self.roots)))
-        return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
     def _walk(self, X: np.ndarray) -> np.ndarray:
         """One level per step for every (row, tree) cell at once; every

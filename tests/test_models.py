@@ -19,8 +19,8 @@ from xaifuse.models import (
     resolve_params,
     train_model,
 )
-from xaifuse.models import _FAMILIES, knn, svm, tree
-from xaifuse.models.ovr import ProbaClassifier, ovr_proba, ovr_targets, softmax
+from xaifuse.models import _FAMILIES, knn, ovr, svm, tree
+from xaifuse.models.ovr import ProbaClassifier, ovr_proba, ovr_targets, row_blocks, softmax
 from xaifuse.models.svm import _rbf
 from xaifuse.seeding import derive_seed, rng_for
 
@@ -701,7 +701,7 @@ class TestStackedWalk:
         forest = RandomForest(n_estimators=5, seed=1).fit(X, y)
         whole = forest.predict_proba(X)
         leaves = forest._stack.apply(X)
-        monkeypatch.setattr(tree, "CELL_BUDGET", 7)
+        monkeypatch.setattr(ovr, "BLOCK_CELLS", 7)
         np.testing.assert_array_equal(forest.predict_proba(X), whole)
         np.testing.assert_array_equal(forest._stack.apply(X), leaves)
 
@@ -744,7 +744,7 @@ class TestKnn:
         q = rng.normal(size=(40, 3))
         model = KnnClassifier(n_neighbors=3).fit(X, y)
         whole = model.predict_proba(q)
-        monkeypatch.setattr(knn, "CHUNK_SIZE", 7)
+        monkeypatch.setattr(ovr, "BLOCK_CELLS", 7 * len(X))  # blocks of 7 rows
         np.testing.assert_array_equal(model.predict_proba(q), whole)
 
     @pytest.mark.parametrize("rows", [1, 7])
@@ -755,10 +755,15 @@ class TestKnn:
         q = rng.integers(0, 3, size=(45, 3)).astype(float)
         model = KnnClassifier(n_neighbors=4).fit(X, y)
         sq = (X**2).sum(axis=1)
-        whole = model._neighbor_labels(q, sq)
+        whole = model._neighbor_labels(q, sq, np.empty((len(q), len(X))))
         proba = model.predict_proba(q)
-        monkeypatch.setattr(knn, "PARTITION_ROWS", rows)
-        np.testing.assert_array_equal(model._neighbor_labels(q, sq), whole)
+        monkeypatch.setattr(ovr, "BLOCK_CELLS", rows * len(X))
+        blocks = row_blocks(len(q), len(X))
+        assert len(blocks) > 1
+        labels = [
+            model._neighbor_labels(q[b], sq, np.empty((b.stop - b.start, len(X)))) for b in blocks
+        ]
+        np.testing.assert_array_equal(np.concatenate(labels), whole)
         np.testing.assert_array_equal(model.predict_proba(q), proba)
 
     def test_distances_match_plain_expression(self):
@@ -769,7 +774,9 @@ class TestKnn:
             sq = (x**2).sum(axis=1)
             want = (q**2).sum(axis=1)[:, None] - 2.0 * q @ x.T + sq
             np.maximum(want, 0.0, out=want)
-            np.testing.assert_array_equal(knn._sq_distances(q, x, sq), want)
+            got = np.full((len(q), len(x)), np.nan)
+            knn._sq_distances(q, x, sq, got)
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_minkowski_matches_bruteforce_sort(self, monkeypatch, p):
@@ -784,7 +791,7 @@ class TestKnn:
             near = np.argsort(d[i], kind="stable")[:4]
             votes = np.bincount(y[near], minlength=3) / 4.0
             np.testing.assert_array_equal(got[i], votes)
-        monkeypatch.setattr(knn, "CHUNK_SIZE", 7)
+        monkeypatch.setattr(ovr, "BLOCK_CELLS", 7 * len(X))  # blocks of 7 rows
         np.testing.assert_array_equal(model.predict_proba(q), got)
 
     def test_minkowski_p1(self):
@@ -920,6 +927,122 @@ class TestSvm:
         assert peak < 8 * n * n / 8
         assert dtypes == {np.dtype(np.float64)}
         assert (model.predict(X) == y).all()
+
+
+def _block_sizes(n: int, cols: int, multiple: int = 1) -> list[int]:
+    return [b.stop - b.start for b in row_blocks(n, cols, multiple)]
+
+
+class TestScoringBlocks:
+    """kNN and SVM scores do not depend on the cell budget that blocks them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        cols=st.integers(1, 5000),
+        multiple=st.sampled_from([1, 4, 64]),
+        budget=st.integers(1, 1 << 17),
+    )
+    def test_blocks_cover_the_rows_and_leave_no_row_alone(self, n, cols, multiple, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ovr, "BLOCK_CELLS", budget)
+            blocks = row_blocks(n, cols, multiple)
+        step = max(2, multiple, budget // cols // multiple * multiple)
+        sizes = [b.stop - b.start for b in blocks]
+        assert sum(sizes) == n
+        assert all(b.stop == c.start for b, c in zip(blocks, blocks[1:]))
+        assert all(b.start % step == 0 for b in blocks)
+        assert all(size == step for size in sizes[:-1])
+        assert sizes[-1:] <= [step + 1]
+        assert n == 1 or all(size >= 2 for size in sizes)
+        assert step * cols <= budget or step == max(2, multiple)
+
+    def test_a_one_row_tail_joins_the_block_before_it(self, monkeypatch):
+        monkeypatch.setattr(ovr, "BLOCK_CELLS", 7 * 100)
+        assert _block_sizes(15, 100) == [7, 8]
+        assert _block_sizes(16, 100) == [7, 7, 2]
+        assert _block_sizes(1, 100) == [1]
+        assert _block_sizes(0, 100) == []
+        assert _block_sizes(129, 100, multiple=64) == [64, 65]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(2, 7),
+        n=st.integers(1, 40),
+        p=st.sampled_from([2.0, 1.0, 3.0]),
+        grid=st.booleans(),
+    )
+    def test_knn_bits_do_not_depend_on_the_budget(self, seed, rows, n, p, grid):
+        rng = np.random.default_rng(seed)
+        if grid:  # a 0.3-step grid: many distances tie, or tie but for rounding
+            X = rng.integers(0, 3, size=(60, 10)) * 0.3
+            q = rng.integers(0, 3, size=(n, 10)) * 0.3
+        else:
+            X = rng.normal(size=(60, 10))
+            q = rng.normal(size=(n, 10))
+        model = KnnClassifier(n_neighbors=4, p=p).fit(X, rng.integers(0, 3, 60))
+        perm = rng.permutation(n)
+        whole = model.predict_proba(q)
+        assert _block_sizes(n, len(X)) == [n]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ovr, "BLOCK_CELLS", rows * len(X))
+            assert max(_block_sizes(n, len(X))) <= rows + 1
+            small = model.predict_proba(q)
+            shuffled = model.predict_proba(q[perm])
+        assert small.tobytes() == whole.tobytes()
+        assert shuffled.tobytes() == whole[perm].tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        n_classes=st.sampled_from([2, 3]),
+        budget=st.integers(1, 300 * 90),
+    )
+    def test_svm_bits_do_not_depend_on_the_budget(self, seed, n, n_classes, budget):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(90, 10))
+        y = np.digitize(X[:, 0] + X[:, 1] * X[:, 2], [-0.5, 0.5][: n_classes - 1])
+        model = SvmRbf().fit(X, y)
+        q = rng.normal(size=(n, 10))
+        shuffled = q[rng.permutation(n)]
+        # the default budget scores these queries as one block per machine
+        assert all(_block_sizes(n, len(sv), 64) == [n] for sv in model.support_vectors_)
+        whole = [model.predict_proba(q), model.predict_proba(shuffled)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ovr, "BLOCK_CELLS", budget)  # blocks of 64, 128, ... rows
+            small = [model.predict_proba(q), model.predict_proba(shuffled)]
+        assert [s.tobytes() for s in small] == [w.tobytes() for w in whole]
+
+    def test_knn_predict_holds_a_few_blocks(self):
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(7000, 10))
+        model = KnnClassifier().fit(X, rng.integers(0, 2, 7000))
+        q = rng.normal(size=(4096, 10))
+        tracemalloc.start()
+        try:
+            model.predict_proba(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1,024-row chunks held a 57 MB distance block here
+        assert peak < 4 * 8 * ovr.BLOCK_CELLS
+
+    def test_svm_predict_holds_a_few_blocks(self):
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(1000, 10))
+        model = SvmRbf().fit(X, rng.integers(0, 2, 1000))  # noise: many support vectors
+        assert len(model.support_vectors_[0]) > 256
+        q = rng.normal(size=(16384, 10))
+        tracemalloc.start()
+        try:
+            model.predict_proba(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one unblocked 16,384 x 326 kernel array is 43 MB
+        assert peak < 4 * 8 * ovr.BLOCK_CELLS
 
 
 class TestOneVsRest:
