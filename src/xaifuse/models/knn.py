@@ -4,11 +4,17 @@ Query rows are scored in the blocks of `ovr.row_blocks`: about
 BLOCK_CELLS // n_train rows each, and never one row alone unless the query
 has one row, since a one-row product takes BLAS gemv and rounds its
 distances differently. Each block gets one squared-distance array
-(rows x n_train) from one GEMM, and one `argpartition` over that array
-selects every row's k nearest. Both arrays stay in cache. Each row is
-partitioned on its own, and its distances have the same bits in every
-block of two or more rows, so the block size does not change which
-neighbours a row gets.
+(rows x n_train) from one GEMM, which stays in cache, and its distances
+have the same bits in every block of two or more rows.
+
+Selection takes a row's k nearest with k passes of `argmin` over the
+block, writing inf over each cell it takes; one last `min` gives the
+(k+1)-th distance. Where the k-th distance is strictly below it, the k
+nearest are the only choice, and the row keeps them. Every other row (a
+tie at the k-th distance, a NaN distance, or an inf among the k nearest)
+gets its cells back and takes `argpartition`'s choice, as does every row
+when k exceeds ARGMIN_MAX_K. So the selection is argpartition's, row by
+row, and the block size does not change which neighbours a row gets.
 """
 
 from __future__ import annotations
@@ -16,6 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from .ovr import ProbaClassifier, row_blocks
+
+# the largest k that selects by argmin passes: against 1,400 to 7,000
+# training rows the passes were 2-9% faster than argpartition at k = 12 and
+# 4-23% slower at k = 16
+ARGMIN_MAX_K = 8
 
 
 def _sq_distances(q: np.ndarray, x: np.ndarray, sq_x: np.ndarray, d: np.ndarray) -> None:
@@ -35,8 +46,10 @@ class KnnClassifier(ProbaClassifier):
     """Majority vote over the k closest training rows (minkowski metric).
 
     Votes are unweighted; probability output is the vote fraction per
-    class. Boundary ties resolve by partition order, which is fixed for
-    identical inputs, so repeated queries agree exactly.
+    class. Tie rule: where a row's k-th and (k+1)-th distances are not
+    strictly ordered (or a distance is NaN), the neighbours are
+    `np.argpartition`'s choice, which is fixed for identical inputs, so
+    repeated queries agree exactly.
     """
 
     def __init__(self, n_neighbors: int = 5, p: float = 2.0):
@@ -68,10 +81,9 @@ class KnnClassifier(ProbaClassifier):
             votes[rows] = (labels[:, :, None] == np.arange(n_classes)).sum(axis=1)
         return votes
 
-    def _neighbor_labels(self, q: np.ndarray, sq_train, d: np.ndarray) -> np.ndarray:
-        """Class indices of the k nearest training rows of each row of the
-        block q, from one partition of the distances that this writes into
-        the len(q) x n_train array d."""
+    def _distances(self, q: np.ndarray, sq_train, d: np.ndarray) -> None:
+        """The minkowski distances (squared for p = 2) between the rows of
+        the block q and the training rows, written into the array d."""
         if self.p == 2.0:
             _sq_distances(q, self._x, sq_train, d)
         else:
@@ -80,10 +92,34 @@ class KnnClassifier(ProbaClassifier):
                 term = np.abs(np.subtract.outer(q[:, j], self._x[:, j]))
                 term **= self.p
                 d += term
+
+    def _neighbor_labels(self, q: np.ndarray, sq_train, d: np.ndarray) -> np.ndarray:
+        """Class indices of the k nearest training rows of each row of the
+        block q, selected from the distances that this writes into the
+        len(q) x n_train array d (left overwritten)."""
+        self._distances(q, sq_train, d)
         k = self.n_neighbors
         if k == d.shape[1]:
             return np.broadcast_to(self._yi, d.shape)
-        return self._yi[np.argpartition(d, k - 1, axis=1)[:, :k]]
+        if k > ARGMIN_MAX_K:
+            return self._yi[np.argpartition(d, k - 1, axis=1)[:, :k]]
+        rows = np.arange(len(d))
+        near = np.empty((len(d), k), dtype=np.intp)
+        taken = np.empty((len(d), k))
+        for i in range(k):
+            near[:, i] = j = d.argmin(axis=1)
+            taken[:, i] = d[rows, j]
+            d[rows, j] = np.inf
+        # NaN fails this test: max and min propagate it
+        tied = ~(taken.max(axis=1) < d.min(axis=1))
+        if tied.any():
+            tied = np.flatnonzero(tied)
+            # reverse pass order: a cell taken twice (once every cell left
+            # is inf) gets back the distance its first pass read
+            for i in reversed(range(k)):
+                d[tied, near[tied, i]] = taken[tied, i]
+            near[tied] = np.argpartition(d[tied], k - 1, axis=1)[:, :k]
+        return self._yi[near]
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -806,6 +806,112 @@ class TestKnn:
             KnnClassifier(n_neighbors=5).fit(np.zeros((3, 2)), np.array([0, 1, 0]))
 
 
+def _block_distances(model: KnnClassifier, q: np.ndarray) -> np.ndarray:
+    """The model's distances from the rows of q, computed as one block."""
+    d = np.empty((len(q), len(model._x)))
+    model._distances(q, (model._x**2).sum(axis=1), d)
+    return d
+
+
+def _partition_proba(model: KnnClassifier, d: np.ndarray) -> np.ndarray:
+    """The vote fractions of the neighbours np.argpartition picks from d."""
+    k = model.n_neighbors
+    labels = model._yi[np.argpartition(d, k - 1, axis=1)[:, :k]]
+    return (labels[:, :, None] == np.arange(len(model.classes_))).sum(axis=1) / k
+
+
+def _spy_argpartition(monkeypatch) -> list[np.ndarray]:
+    """Copies of the arrays handed to np.argpartition from now on."""
+    seen = []
+    real = np.argpartition
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argpartition", spy)
+    return seen
+
+
+class TestKnnSelection:
+    """The k nearest from argmin passes, with argpartition's choice on rows
+    whose k-th and (k+1)-th distances are not strictly ordered, give the
+    votes of argpartition alone, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(10, 40),
+        rows=st.integers(2, 30),
+        features=st.integers(1, 4),
+        p=st.sampled_from([1.0, 2.0, 3.0]),
+    )
+    def test_votes_equal_argpartition_votes(self, data, seed, n, rows, features, p):
+        k = data.draw(st.one_of(st.integers(1, n), st.sampled_from([8, 9, n - 1])), label="k")
+        rng = np.random.default_rng(seed)
+        # an integer grid: exact distances, many of them tied
+        X = rng.integers(0, 4, size=(n, features)).astype(float)
+        q = rng.integers(0, 4, size=(rows, features)).astype(float)
+        model = KnnClassifier(n_neighbors=k, p=p).fit(X, rng.integers(0, 3, n))
+        want = _partition_proba(model, _block_distances(model, q))
+        assert model.predict_proba(q).tobytes() == want.tobytes()
+
+    def test_rows_without_a_boundary_tie_take_no_partition(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        X = rng.normal(size=(300, 4))
+        q = rng.normal(size=(40, 4))
+        model = KnnClassifier(n_neighbors=knn.ARGMIN_MAX_K).fit(X, rng.integers(0, 3, 300))
+        want = _partition_proba(model, _block_distances(model, q))
+        seen = _spy_argpartition(monkeypatch)
+        assert model.predict_proba(q).tobytes() == want.tobytes()
+        assert seen == []
+        model.n_neighbors += 1  # past ARGMIN_MAX_K every row is partitioned
+        model.predict_proba(q)
+        assert [len(a) for a in seen] == [len(q)]
+
+    def test_duplicate_training_rows_tie_at_the_kth_distance(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        X = rng.integers(0, 5, size=(20, 3)).astype(float)
+        X = np.vstack([X, X])  # every distance comes twice
+        q = rng.integers(0, 5, size=(12, 3)) + 0.5  # exact distances
+        model = KnnClassifier(n_neighbors=3).fit(X, rng.integers(0, 3, 40))
+        d = _block_distances(model, q)
+        want = _partition_proba(model, d)
+        seen = _spy_argpartition(monkeypatch)
+        assert model.predict_proba(q).tobytes() == want.tobytes()
+        # every row falls back, with its distances restored
+        assert [a.tobytes() for a in seen] == [d.tobytes()]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_nan_distances_fall_back(self, monkeypatch, p):
+        rng = np.random.default_rng(53)
+        X = rng.normal(size=(30, 3))
+        q = rng.normal(size=(10, 3))
+        q[[2, 7], 1] = np.nan
+        model = KnnClassifier(n_neighbors=4, p=p).fit(X, rng.integers(0, 3, 30))
+        d = _block_distances(model, q)
+        want = _partition_proba(model, d)
+        seen = _spy_argpartition(monkeypatch)
+        assert model.predict_proba(q).tobytes() == want.tobytes()
+        assert [a.tobytes() for a in seen] == [d[[2, 7]].tobytes()]
+
+    def test_inf_distances_restore_cells_taken_twice(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        X = rng.normal(size=(10, 2))
+        X[3:] = np.inf  # under p = 1 these rows are at distance inf
+        q = rng.normal(size=(6, 2))
+        model = KnnClassifier(n_neighbors=5, p=1.0).fit(X, np.arange(10) % 3)
+        d = _block_distances(model, q)
+        assert np.isfinite(d[:, :3]).all() and np.isinf(d[:, 3:]).all()
+        want = _partition_proba(model, d)
+        seen = _spy_argpartition(monkeypatch)
+        assert model.predict_proba(q).tobytes() == want.tobytes()
+        # passes 4 and 5 take cell 0 again, after pass 1 took its finite
+        # distance; the partition still sees that finite distance
+        assert [a.tobytes() for a in seen] == [d.tobytes()]
+
+
 class TestSvm:
     def test_separable_binary(self):
         rng = np.random.default_rng(14)
