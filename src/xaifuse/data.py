@@ -151,9 +151,10 @@ def load_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
 
     Header order does not matter; columns are reordered to schema order.
     A header that repeats a name, or a record with more cells than the
-    header, is refused. Empty or non-numeric cells, and the cells a short
-    record lacks, become NaN sentinels for `clean` to remove; so does every
-    cell of a row whose label is not an integral number within int64.
+    header, is refused. Empty or non-numeric cells, cells that read as an
+    infinity, and the cells a short record lacks, become NaN sentinels for
+    `clean` to remove; so does every cell of a row whose label is not an
+    integral number within int64.
 
     `load_csv_by_cell` is the definition. A body of complete records of
     plain numbers (the common case) is parsed in one `np.loadtxt` call,
@@ -237,9 +238,11 @@ def _read_header(records, path, schema: FeatureSchema) -> tuple[int, list, int, 
 
 
 def _labeled(schema: FeatureSchema, x: np.ndarray, raw: np.ndarray) -> Dataset:
-    """Apply the label rule to freshly parsed rows, in place, once for all
-    rows: a label that is not an integral number within int64 marks the
-    whole row for removal."""
+    """Apply the cell rules to freshly parsed rows, in place, once for all
+    rows: a feature cell that reads as an infinity (`inf`, `-inf`, `1e400`)
+    is marked missing, and a label that is not an integral number within
+    int64 marks the whole row for removal."""
+    x[np.isinf(x)] = np.nan
     unreadable = ~((raw == np.floor(raw)) & (raw >= -(2.0**63)) & (raw < 2.0**63))
     x[unreadable] = np.nan
     return Dataset(schema, x, np.where(unreadable, 0.0, raw).astype(np.int64))

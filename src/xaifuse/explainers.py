@@ -448,9 +448,10 @@ def lime_global(
     seed: int,
     model_tag: str = "",
 ) -> ImportanceVector:
-    """Mean absolute surrogate coefficient over every row, perturbed with
-    the training split's per-feature sd. Fails loudly if more than 10% of
-    instances cannot be explained."""
+    """Mean absolute surrogate coefficient over the rows explained,
+    perturbed with the training split's per-feature sd. Fails loudly if
+    more than 10% of instances cannot be explained; fewer failures are
+    skipped, though their samples still count in model_rows."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ExplainError("need a non-empty 2-d array of rows to explain")
@@ -471,7 +472,7 @@ def lime_global(
     # multiclass models also score each instance once to pick its class
     per_instance = cfg.lime_samples_per_instance + (len(model.classes_) > 2)
     return ImportanceVector(
-        scores=acc / n_explain,
+        scores=acc / (n_explain - failures),
         method="lime",
         model=model_tag,
         model_rows=n_explain * per_instance,

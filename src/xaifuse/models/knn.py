@@ -3,9 +3,9 @@
 Query rows are scored in the blocks of `ovr.row_blocks`: about
 BLOCK_CELLS // n_train rows each, and never one row alone unless the query
 has one row, since a one-row product takes BLAS gemv and rounds its
-distances differently. Each block gets one squared-distance array
-(rows x n_train) from one GEMM, which stays in cache, and its distances
-have the same bits in every block of two or more rows.
+distances differently. Each block's (rows x n_train) distances go into one
+array that stays in cache: the GEMM of `ovr._sq_distances` for p = 2, the
+same bits in every block of two or more rows, else `ovr._fold_distances`.
 
 Selection takes a row's k nearest with k passes of `argmin` over the
 block, writing inf over each cell it takes; one last `min` gives the
@@ -21,25 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ovr import ProbaClassifier, row_blocks
+from .ovr import ProbaClassifier, _fold_distances, _sq_distances, row_blocks
 
 # the largest k that selects by argmin passes: against 1,400 to 7,000
 # training rows the passes were 2-9% faster than argpartition at k = 12 and
 # 4-23% slower at k = 16
 ARGMIN_MAX_K = 8
-
-
-def _sq_distances(q: np.ndarray, x: np.ndarray, sq_x: np.ndarray, d: np.ndarray) -> None:
-    """Squared euclidean distances between the rows of q and of x (sq_x =
-    (x**2).sum(1)), clipped at 0, written into the len(q) x len(x) array d
-    with no q-by-x temporary; the bits equal those of the plain expression
-    (q**2).sum(1)[:, None] - 2.0 * q @ x.T + sq_x. The factor goes on q
-    first, as there: `q @ q.T` would take a symmetric BLAS product that
-    rounds differently."""
-    np.matmul(-2.0 * q, x.T, out=d)
-    d += (q**2).sum(axis=1)[:, None]
-    d += sq_x
-    np.maximum(d, 0.0, out=d)
 
 
 class KnnClassifier(ProbaClassifier):
@@ -73,34 +60,24 @@ class KnnClassifier(ProbaClassifier):
         votes = np.zeros((X.shape[0], n_classes))
         sq_train = (self._x**2).sum(axis=1) if self.p == 2.0 else None
         blocks = row_blocks(X.shape[0], len(self._x))
-        # one distance array serves every block: a fresh one per block can
-        # be handed out by mmap and page-faulted in each time
+        # one distance array (and one fold term array) serves every block: a
+        # fresh one per block can be handed out by mmap and page-faulted in
         dist = np.empty((max((b.stop - b.start for b in blocks), default=0), len(self._x)))
+        term = None if self.p == 2.0 else np.empty_like(dist)
         for rows in blocks:
-            labels = self._neighbor_labels(X[rows], sq_train, dist[: rows.stop - rows.start])
+            d = dist[: rows.stop - rows.start]
+            if term is None:
+                _sq_distances(X[rows], self._x, sq_train, d)
+            else:
+                _fold_distances(X[rows], self._x, self.p, d, term[: len(d)])
+            labels = self._neighbor_labels(d)
             votes[rows] = (labels[:, :, None] == np.arange(n_classes)).sum(axis=1)
         return votes
 
-    def _distances(self, q: np.ndarray, sq_train, d: np.ndarray) -> None:
-        """The minkowski distances (squared for p = 2) between the rows of
-        the block q and the training rows, written into the array d."""
-        if self.p == 2.0:
-            _sq_distances(q, self._x, sq_train, d)
-        else:
-            d.fill(0.0)
-            for j in range(q.shape[1]):  # one feature at a time: no p-fold temporary
-                term = np.abs(np.subtract.outer(q[:, j], self._x[:, j]))
-                term **= self.p
-                d += term
-
-    def _neighbor_labels(self, q: np.ndarray, sq_train, d: np.ndarray) -> np.ndarray:
-        """Class indices of the k nearest training rows of each row of the
-        block q, selected from the distances that this writes into the
-        len(q) x n_train array d (left overwritten)."""
-        self._distances(q, sq_train, d)
+    def _neighbor_labels(self, d: np.ndarray) -> np.ndarray:
+        """Class indices of the k nearest training rows of each row of a
+        block, from its distances d (rows x n_train, left overwritten)."""
         k = self.n_neighbors
-        if k == d.shape[1]:
-            return np.broadcast_to(self._yi, d.shape)
         if k > ARGMIN_MAX_K:
             return self._yi[np.argpartition(d, k - 1, axis=1)[:, :k]]
         rows = np.arange(len(d))

@@ -10,7 +10,9 @@ The families that score query rows against stored rows (kNN against its
 training rows, the SVM against each machine's support vectors, the tree
 walker against its trees) score them in the row blocks of `row_blocks`, so
 one block's (rows x stored rows) array of 8-byte cells holds about
-BLOCK_CELLS cells and stays in cache.
+BLOCK_CELLS cells and stays in cache. kNN and the SVM take their distances
+from `_sq_distances` (kNN with p = 2, SVM prediction) or `_fold_distances`
+(kNN with any other p, the kernel rows of an SVM fit).
 """
 
 from __future__ import annotations
@@ -68,6 +70,32 @@ def row_blocks(n_rows: int, cols: int, multiple: int = 1) -> list[slice]:
         bounds.pop()
     bounds.append(n_rows)
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _sq_distances(q: np.ndarray, x: np.ndarray, sq_x: np.ndarray, out: np.ndarray) -> None:
+    """Squared euclidean distances between the rows of q and of x (sq_x =
+    (x**2).sum(1)) by one GEMM, clipped at 0, written into the len(q) x
+    len(x) array out; the bits of (q**2).sum(1)[:, None] - 2.0 * q @ x.T +
+    sq_x. The factor goes on q first: `q @ q.T` would take a symmetric BLAS
+    product that rounds differently."""
+    np.matmul(-2.0 * q, x.T, out=out)
+    out += (q**2).sum(axis=1)[:, None]
+    out += sq_x
+    np.maximum(out, 0.0, out=out)
+
+
+def _fold_distances(
+    q: np.ndarray, x: np.ndarray, p: float, out: np.ndarray, term: np.ndarray
+) -> None:
+    """Sum of |q_f - x_f|**p over the features, added in feature order into
+    the len(q) x len(x) array out, each feature's terms held in term (same
+    shape); every cell is a per-cell fold's, whatever the block."""
+    out.fill(0.0)
+    for f in range(q.shape[1]):
+        np.subtract.outer(q[:, f], x[:, f], out=term)
+        np.abs(term, out=term)
+        term **= p
+        out += term
 
 
 class ProbaClassifier:

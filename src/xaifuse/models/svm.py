@@ -33,15 +33,13 @@ from __future__ import annotations
 import numpy as np
 
 from .ovr import ProbaClassifier, ovr_proba, ovr_targets, row_blocks, sigmoid
+from .ovr import _fold_distances, _sq_distances
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    # in place, so the distance matrix becomes the kernel without a copy
-    d = a @ b.T
-    d *= -2.0
-    d += (a**2).sum(axis=1)[:, None]
-    d += (b**2).sum(axis=1)
-    np.maximum(d, 0.0, out=d)
+    # the squared distances become the kernel in place
+    d = np.empty((len(a), len(b)))
+    _sq_distances(a, b, (b**2).sum(axis=1), d)
     d *= -gamma
     return np.exp(d, out=d)
 
@@ -49,27 +47,26 @@ def _rbf(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 class _KernelRows:
     """The RBF kernel of one fit's training rows, read one row at a time.
 
-    Row j is exp(-gamma * d), where d sums (x_f - x_jf)**2 over the features
-    in feature order, so K[i, j] == K[j, i] and K[i, i] == 1 exactly. Each
-    row is computed on its first read and kept.
+    Row j is exp(-gamma * d), where `ovr._fold_distances` (p = 2) sums
+    (x_jf - x_f)**2 over the features in feature order, so K[i, j] ==
+    K[j, i] and K[i, i] == 1 exactly. Each row is computed on its first
+    read and kept.
     """
 
     def __init__(self, X: np.ndarray, gamma: float):
         self._X = X
         self._gamma = gamma
         self._rows: dict[int, np.ndarray] = {}
+        self._term = np.empty((1, len(X)))
 
     def __getitem__(self, j: int) -> np.ndarray:
         j = int(j)
         row = self._rows.get(j)
         if row is None:
-            d = np.zeros(len(self._X))
-            for col in self._X.T:
-                diff = col - col[j]
-                diff *= diff
-                d += diff
+            d = np.empty((1, len(self._X)))
+            _fold_distances(self._X[j : j + 1], self._X, 2.0, d, self._term)
             d *= -self._gamma
-            row = self._rows[j] = np.exp(d, out=d)
+            row = self._rows[j] = np.exp(d, out=d)[0]
         return row
 
     def stack(self, idx: np.ndarray) -> np.ndarray:

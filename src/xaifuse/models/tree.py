@@ -52,10 +52,10 @@ label matrix for gini and the target column for mse.
 Walking. `TreeStack` concatenates the node arrays of an ensemble's trees
 with per-tree offsets and walks every tree for a block of rows together,
 in the row blocks of `ovr.row_blocks`, about BLOCK_CELLS (row, tree) cells
-each. A fitted `DecisionTree` walks a stack of itself; an ensemble stacks
-its members, which build no walker of their own. Ensembles add their
-trees' leaf values in tree order, so their sums do not depend on how the
-walk is blocked.
+each. `TreeStack.tree_sum`, the one walk entry, adds the trees' leaf values
+in tree order, so sums do not depend on the blocking. A fitted
+`DecisionTree` sums a stack of itself from zeros, its leaf's values
+exactly; an ensemble stacks its members, which build no walker.
 """
 
 from __future__ import annotations
@@ -383,7 +383,8 @@ class DecisionTree(ProbaClassifier):
     # -- inference -------------------------------------------------------
 
     def predict_proba(self, X) -> np.ndarray:
-        return self.value_[self._stack.apply(X)[:, 0]]
+        X = np.asarray(X, dtype=np.float64)
+        return self._stack.tree_sum(X, self.value_, np.zeros((X.shape[0], len(self.classes_))))
 
     @property
     def node_count(self) -> int:
@@ -423,14 +424,6 @@ class TreeStack:
             self.depth += 1
             frontier = np.concatenate([self.left[frontier], self.right[frontier]])
             frontier = frontier[~leaf[frontier]]
-
-    def apply(self, X) -> np.ndarray:
-        """(rows, trees) stacked id of the leaf each row reaches in each tree."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        leaves = np.empty((X.shape[0], len(self.roots)), dtype=np.int64)
-        for rows in row_blocks(X.shape[0], len(self.roots)):
-            leaves[rows] = self._walk(X[rows])
-        return leaves
 
     def tree_sum(self, X, values: np.ndarray, start: np.ndarray) -> np.ndarray:
         """start plus values[leaf] of each tree in tree order, per row of X;

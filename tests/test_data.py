@@ -122,6 +122,17 @@ class TestLoadCsv:
         np.testing.assert_array_equal(kept.labels, [0, 16])
         assert kept.labels.dtype == np.int64
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("load", [load_csv, load_csv_by_cell])
+    def test_non_finite_feature_cell_removes_the_row(self, tmp_path, load, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,label\n1,2,0\n3,{cell},1\n5,6,1\n")
+        ds = load(path, FeatureSchema(("a", "b"), "label"))
+        assert np.isnan(ds.rows[1, 1]) and ds.rows[1, 0] == 3.0
+        kept = clean(ds)
+        np.testing.assert_array_equal(kept.rows, [[1.0, 2.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(kept.labels, [0, 1])
+
     @pytest.mark.parametrize("body", ["", "\n", "\n\r\n\n", "\r\n\r\n"])
     def test_no_data_rows_raises_without_a_warning(self, tmp_path, body):
         path = tmp_path / "d.csv"
@@ -148,7 +159,8 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text(f"a,b,label\n{digits},2,0\n3,4,1\n")
         ds = load_csv(path, schema)
-        np.testing.assert_array_equal(ds.rows, [[float(digits), 2.0], [3.0, 4.0]])
+        # read as inf, which marks the cell missing
+        np.testing.assert_array_equal(ds.rows, [[np.nan, 2.0], [3.0, 4.0]])
         with pytest.raises(DataError, match="line 2 of .*field larger than field limit"):
             load_csv_by_cell(path, schema)
         path.write_text(f'a,b,label\n"{digits}",2,0\n3,4,1\n')

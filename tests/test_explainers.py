@@ -509,6 +509,27 @@ class TestLime:
             acc += np.abs(lime_explain_instance(model, rows[i], sd, cfg, 2, i))
         np.testing.assert_allclose(iv.scores, acc / 6)
 
+    def test_global_mean_skips_failed_instances(self):
+        # row 0 lies far from the others and its samples score NaN, so its
+        # surrogate fails; the mean runs over the nine rows explained, and
+        # all ten rows' samples were scored
+        rng = np.random.default_rng(17)
+        rows = rng.normal(size=(10, 2))
+        rows[0] = 100.0
+        model = FnModel(
+            lambda z: np.where(z[:, 0] > 50.0, np.nan, 1.0 / (1.0 + np.exp(-z[:, 0])))
+        )
+        cfg = ExplainerConfig(lime_samples_per_instance=200)
+        sd = np.ones(2)
+        with pytest.raises(ExplainError, match="non-finite"):
+            lime_explain_instance(model, rows[0], sd, cfg, 4, 0)
+        iv = lime_global(model, rows, sd, cfg, 4)
+        acc = np.zeros(2)
+        for i in range(1, 10):
+            acc += np.abs(lime_explain_instance(model, rows[i], sd, cfg, 4, i))
+        assert iv.scores.tobytes() == (acc / 9).tobytes()
+        assert iv.model_rows == 10 * 200
+
     def test_global_ordering_matches_linear_weights(self):
         weights = np.array([2.0, -0.1, 0.8])
         model = FnModel(lambda z: 1.0 / (1.0 + np.exp(-(z @ weights))))

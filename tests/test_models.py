@@ -474,7 +474,9 @@ class TestTreeKernelAgainstPerFeatureBuilder:
         weight = np.ones(len(y)) if w is None else w
         want = per_feature_grow(X, y, weight, False, max_depth, min_leaf, min_split)
         assert_bitwise_equal(tree_arrays(model), want)
-        np.testing.assert_array_equal(model._stack.apply(X)[:, 0], per_tree_apply(model, X))
+        leaves = per_tree_apply(model, X)
+        np.testing.assert_array_equal(model._stack._walk(X)[:, 0], leaves)
+        assert model.predict_proba(X).tobytes() == model.value_[leaves].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -491,7 +493,7 @@ class TestTreeKernelAgainstPerFeatureBuilder:
         assert_bitwise_equal(tree_arrays(model), want)
         grid = X + np.random.default_rng(seed).normal(scale=0.5, size=X.shape)
         np.testing.assert_array_equal(
-            tree.TreeStack([model]).apply(grid)[:, 0], per_tree_apply(model, grid)
+            tree.TreeStack([model])._walk(grid)[:, 0], per_tree_apply(model, grid)
         )
 
     @pytest.mark.parametrize("seed", range(4))
@@ -615,7 +617,7 @@ class TestFitLeaves:
         make().fit(X, y)
         assert grown
         for fitted, rows, leaves in grown:
-            np.testing.assert_array_equal(tree.TreeStack([fitted]).apply(rows)[:, 0], leaves)
+            np.testing.assert_array_equal(tree.TreeStack([fitted])._walk(rows)[:, 0], leaves)
             np.testing.assert_array_equal(leaves, per_tree_apply(fitted, rows))
 
 
@@ -699,11 +701,11 @@ class TestStackedWalk:
         X = rng.normal(size=(90, 4))
         y = rng.integers(0, 3, 90)
         forest = RandomForest(n_estimators=5, seed=1).fit(X, y)
-        whole = forest.predict_proba(X)
-        leaves = forest._stack.apply(X)
+        single = DecisionTree().fit(X, y)
+        whole = forest.predict_proba(X), single.predict_proba(X)
         monkeypatch.setattr(ovr, "BLOCK_CELLS", 7)
-        np.testing.assert_array_equal(forest.predict_proba(X), whole)
-        np.testing.assert_array_equal(forest._stack.apply(X), leaves)
+        np.testing.assert_array_equal(forest.predict_proba(X), whole[0])
+        np.testing.assert_array_equal(single.predict_proba(X), whole[1])
 
     def test_deep_tree_walk(self):
         # a chain one split per level, deeper than the walk's compaction period
@@ -712,7 +714,7 @@ class TestStackedWalk:
         model = DecisionTree().fit(X, y)
         grid = np.linspace(-1, 41, 200)[:, None]
         np.testing.assert_array_equal(
-            model._stack.apply(grid)[:, 0], per_tree_apply(model, grid)
+            model._stack._walk(grid)[:, 0], per_tree_apply(model, grid)
         )
 
 
@@ -754,15 +756,12 @@ class TestKnn:
         y = rng.integers(0, 3, 60)
         q = rng.integers(0, 3, size=(45, 3)).astype(float)
         model = KnnClassifier(n_neighbors=4).fit(X, y)
-        sq = (X**2).sum(axis=1)
-        whole = model._neighbor_labels(q, sq, np.empty((len(q), len(X))))
+        whole = model._neighbor_labels(_block_distances(model, q))
         proba = model.predict_proba(q)
         monkeypatch.setattr(ovr, "BLOCK_CELLS", rows * len(X))
         blocks = row_blocks(len(q), len(X))
         assert len(blocks) > 1
-        labels = [
-            model._neighbor_labels(q[b], sq, np.empty((b.stop - b.start, len(X)))) for b in blocks
-        ]
+        labels = [model._neighbor_labels(_block_distances(model, q[b])) for b in blocks]
         np.testing.assert_array_equal(np.concatenate(labels), whole)
         np.testing.assert_array_equal(model.predict_proba(q), proba)
 
@@ -775,8 +774,54 @@ class TestKnn:
             want = (q**2).sum(axis=1)[:, None] - 2.0 * q @ x.T + sq
             np.maximum(want, 0.0, out=want)
             got = np.full((len(q), len(x)), np.nan)
-            knn._sq_distances(q, x, sq, got)
+            ovr._sq_distances(q, x, sq, got)
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_block_distances_equal_a_per_cell_fold(self, monkeypatch, p):
+        rng = np.random.default_rng(39)
+        X = rng.normal(size=(23, 4))
+        q = rng.normal(size=(17, 4))
+        q[5] = X[2]
+        model = KnnClassifier(n_neighbors=3, p=p).fit(X, rng.integers(0, 3, 23))
+        seen = []
+        select = KnnClassifier._neighbor_labels
+
+        def spy(self, d):
+            seen.append(d.copy())
+            return select(self, d)
+
+        monkeypatch.setattr(KnnClassifier, "_neighbor_labels", spy)
+        monkeypatch.setattr(ovr, "BLOCK_CELLS", 5 * len(X))  # blocks of 5 rows
+        model.predict_proba(q)
+        assert len(seen) > 1
+        # each term is numpy's power of one cell: its vectorised power is
+        # elementwise, but on SIMD builds not always the bits of libm's pow
+        want = np.zeros((len(q), len(X)))
+        for i in range(len(q)):
+            for j in range(len(X)):
+                acc = 0.0
+                for f in range(X.shape[1]):
+                    acc += (np.abs(np.array([q[i, f] - X[j, f]])) ** p)[0]
+                want[i, j] = acc
+        assert np.concatenate(seen).tobytes() == want.tobytes()
+
+    def test_minkowski_scoring_holds_no_per_feature_temporaries(self):
+        rng = np.random.default_rng(40)
+        X = rng.normal(size=(1000, 10))
+        q = rng.normal(size=(400, 10))
+        model = KnnClassifier(p=1.0).fit(X, rng.integers(0, 3, 1000))
+        block = max(b.stop - b.start for b in row_blocks(len(q), len(X))) * len(X) * 8
+        model.predict_proba(q[:2])
+        tracemalloc.start()
+        try:
+            model.predict_proba(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the distance and term arrays, and under a third of a block besides;
+        # a fresh difference and absolute value per feature make three blocks
+        assert peak < 2 * block + block // 3
 
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_minkowski_matches_bruteforce_sort(self, monkeypatch, p):
@@ -809,7 +854,10 @@ class TestKnn:
 def _block_distances(model: KnnClassifier, q: np.ndarray) -> np.ndarray:
     """The model's distances from the rows of q, computed as one block."""
     d = np.empty((len(q), len(model._x)))
-    model._distances(q, (model._x**2).sum(axis=1), d)
+    if model.p == 2.0:
+        ovr._sq_distances(q, model._x, (model._x**2).sum(axis=1), d)
+    else:
+        ovr._fold_distances(q, model._x, model.p, d, np.empty_like(d))
     return d
 
 
@@ -964,7 +1012,12 @@ class TestSvm:
         rng = np.random.default_rng(36)
         a = rng.normal(size=(37, 4))
         b = rng.normal(size=(23, 4))
+        # numpy takes x @ x.T through a symmetric BLAS product that rounds
+        # differently from the GEMM; the kernel takes the GEMM whether or
+        # not its two arguments are one array, so the reference multiplies
+        # by a copy
         for x, z in ((a, b), (a, a)):
+            z = z.copy()
             d = (x**2).sum(axis=1)[:, None] - 2.0 * (x @ z.T) + (z**2).sum(axis=1)
             np.maximum(d, 0.0, out=d)
             want = np.exp(-0.3 * d)
