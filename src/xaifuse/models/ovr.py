@@ -10,9 +10,10 @@ The families that score query rows against stored rows (kNN against its
 training rows, the SVM against each machine's support vectors, the tree
 walker against its trees) score them in the row blocks of `row_blocks`, so
 one block's (rows x stored rows) array of 8-byte cells holds about
-BLOCK_CELLS cells and stays in cache. kNN and the SVM take their distances
-from `_sq_distances` (kNN with p = 2, SVM prediction) or `_fold_distances`
-(kNN with any other p, the kernel rows of an SVM fit).
+BLOCK_CELLS cells and stays in cache; kNN's float32 screen fills the same
+512 KiB with twice as many 4-byte cells. kNN and the SVM take their
+distances from `_sq_distances` (kNN with p = 2, SVM prediction) or
+`_fold_distances` (kNN with any other p, the kernel rows of an SVM fit).
 """
 
 from __future__ import annotations
@@ -51,20 +52,24 @@ def ovr_proba(scores: np.ndarray) -> np.ndarray:
     return probs / total
 
 
-# cells of one kNN distance, SVM kernel or tree walk block: 512 KiB. kNN
-# (k = 5) scored fastest at 2^17 cells against 1,400, 3,360 and 7,000
-# training rows, 6-11% slower at 2^16 and 7-25% slower at 2^18
+# 8-byte cells of one kNN distance, SVM kernel or tree walk block: 512 KiB.
+# kNN (k = 5) scored fastest at 2^17 cells against 1,400, 3,360 and 7,000
+# training rows, 6-11% slower at 2^16 and 7-25% slower at 2^18. kNN's
+# float32 screen fills the same 512 KiB with 2 * BLOCK_CELLS 4-byte cells:
+# 16,384 queries against 1,400 rows took 44 ms, and 56 ms at 2^16 cells
 BLOCK_CELLS = 1 << 16
 
 
-def row_blocks(n_rows: int, cols: int, multiple: int = 1) -> list[slice]:
+def row_blocks(n_rows: int, cols: int, multiple: int = 1, itemsize: int = 8) -> list[slice]:
     """Consecutive slices over n_rows query rows, each scored as one
-    (rows x cols) block. A block starts every `step` rows: the largest
-    multiple of `multiple` with step * cols <= BLOCK_CELLS, but at least
-    max(2, multiple). A one-row tail joins the block before it, because
-    numpy scores a one-row product through BLAS gemv, which rounds
-    differently from the gemm of a block of two or more rows."""
-    step = max(2, multiple, BLOCK_CELLS // max(1, cols) // multiple * multiple)
+    (rows x cols) block of itemsize-byte cells. A block starts every `step`
+    rows: the largest multiple of `multiple` with step * cols * itemsize <=
+    8 * BLOCK_CELLS, but at least max(2, multiple). A one-row tail joins the
+    block before it, because numpy scores a one-row product through BLAS
+    gemv, which rounds differently from the gemm of a block of two or more
+    rows."""
+    cells = BLOCK_CELLS * 8 // itemsize
+    step = max(2, multiple, cells // max(1, cols) // multiple * multiple)
     bounds = list(range(0, n_rows, step))
     if len(bounds) > 1 and n_rows - bounds[-1] == 1:
         bounds.pop()

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -958,6 +959,134 @@ class TestKnnSelection:
         # passes 4 and 5 take cell 0 again, after pass 1 took its finite
         # distance; the partition still sees that finite distance
         assert [a.tobytes() for a in seen] == [d.tobytes()]
+
+
+def _float64_proba(model: KnnClassifier, q: np.ndarray) -> np.ndarray:
+    """predict_proba as the float64 path alone scores every row of q."""
+    return model._float64_votes(np.asarray(q, dtype=np.float64)) / model.n_neighbors
+
+
+def _spy_float64_distances(monkeypatch) -> list[np.ndarray]:
+    """Copies of the query rows handed to kNN's float64 distance from now on."""
+    seen = []
+    real = knn._sq_distances
+
+    def spy(q, x, sq_x, out):
+        seen.append(np.array(q))
+        return real(q, x, sq_x, out)
+
+    monkeypatch.setattr(knn, "_sq_distances", spy)
+    return seen
+
+
+class TestKnnFloat32Screen:
+    """Neighbours picked from float32 distances, with the rows that the
+    rounding bound cannot separate scored again in float64, give the float64
+    path's votes, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["grid", "near", "scale"]),
+        n=st.integers(8, 40),
+        rows=st.sampled_from([0, 1, 2, 3, 7, 40]),
+        features=st.integers(1, 5),
+        nan_rows=st.booleans(),
+    )
+    def test_screened_votes_equal_the_float64_path(
+        self, data, seed, kind, n, rows, features, nan_rows
+    ):
+        k = data.draw(st.integers(1, min(knn.ARGMIN_MAX_K, n)), label="k")
+        rng = np.random.default_rng(seed)
+        if kind == "grid":  # exact distances, many of them tied
+            X = rng.integers(0, 3, size=(n, features)).astype(float)
+            q = rng.integers(0, 3, size=(rows, features)).astype(float)
+        elif kind == "near":  # training rows, as given or one part in 1e12 away
+            X = rng.normal(size=(n, features)) * 10.0 ** rng.integers(-3, 4)
+            q = X[rng.integers(0, n, rows)]
+            q = q * (1 + 1e-12 * rng.integers(-1, 2, size=q.shape))
+        else:  # from 1e-30 to 1e25, past float32's range, row by row
+            X = rng.normal(size=(n, features)) * 10.0 ** rng.integers(-30, 26)
+            q = rng.normal(size=(rows, features)) * 10.0 ** rng.integers(-30, 26, size=(rows, 1))
+        if nan_rows and rows:
+            q[rng.integers(0, rows, 1 + rows // 4), rng.integers(0, features)] = np.nan
+        model = KnnClassifier(n_neighbors=k).fit(X, rng.integers(0, 3, n))
+        want = _float64_proba(model, q)
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp.setattr(ovr, "BLOCK_CELLS", 3 * n)  # float32 blocks of 6 rows
+            assert model.predict_proba(q).tobytes() == want.tobytes()
+
+    def test_rows_with_a_clear_gap_never_reach_the_float64_distance(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        X = rng.normal(size=(300, 4))
+        q = rng.normal(size=(40, 4))
+        model = KnnClassifier().fit(X, rng.integers(0, 3, 300))
+        want = _float64_proba(model, q)
+        seen = _spy_float64_distances(monkeypatch)
+        assert model.predict_proba(q).tobytes() == want.tobytes()
+        assert seen == []
+        q[[2, 7], 1] = np.nan
+        want = _float64_proba(model, q)
+        seen.clear()
+        assert model.predict_proba(q).tobytes() == want.tobytes()
+        assert [a.tobytes() for a in seen] == [q[[2, 7]].tobytes()]
+
+    def test_a_lone_flagged_row_is_scored_by_a_gemm(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        X = rng.normal(size=(300, 4))
+        q = rng.normal(size=(40, 4))
+        q[5, 0] = np.nan
+        model = KnnClassifier().fit(X, rng.integers(0, 3, 300))
+        want = _float64_proba(model, q)
+        seen = _spy_float64_distances(monkeypatch)
+        assert model.predict_proba(q).tobytes() == want.tobytes()
+        # a one-row product would take BLAS gemv, which rounds differently
+        assert [a.tobytes() for a in seen] == [q[[5, 5]].tobytes()]
+
+    def test_near_ties_are_scored_in_float64(self, monkeypatch):
+        # each query sits between two training rows of different classes
+        # whose distances differ by two parts in 1e9: float64 orders them,
+        # float32 rounding (about 1e-5 here) cannot
+        rng = np.random.default_rng(63)
+        centres = rng.normal(size=(60, 6)) * 10.0
+        v = rng.normal(size=(60, 6))
+        X = np.vstack([centres + v, centres - v * (1 + 1e-9)])
+        y = np.repeat([0, 1], 60)
+        model = KnnClassifier(n_neighbors=1).fit(X, y)
+        want = _float64_proba(model, centres)
+        assert (want[:, 0] == 1.0).all()
+        seen = _spy_float64_distances(monkeypatch)
+        assert model.predict_proba(centres).tobytes() == want.tobytes()
+        assert sum(len(a) for a in seen) == len(centres)
+
+    def test_float32_ties_are_scored_in_float64_under_a_zero_bound(self, monkeypatch):
+        # on a small integer grid the float32 distances are exact, so with
+        # a zero bound only a strict float32 gap may keep a row's neighbours
+        rng = np.random.default_rng(64)
+        X = rng.integers(0, 3, size=(40, 3)).astype(float)
+        q = rng.integers(0, 3, size=(60, 3)).astype(float)
+        model = KnnClassifier(n_neighbors=3).fit(X, rng.integers(0, 3, 40))
+        want = _float64_proba(model, q)
+        monkeypatch.setattr(knn, "_rounding_bound", lambda sq, n: np.zeros_like(sq))
+        seen = _spy_float64_distances(monkeypatch)
+        assert model.predict_proba(q).tobytes() == want.tobytes()
+        assert 0 < sum(len(a) for a in seen) < len(q)
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e-20, 1e15, 2e19, 1e25, 1e39])
+    def test_extreme_magnitudes_raise_no_warning(self, scale):
+        rng = np.random.default_rng(65)
+        X = rng.normal(size=(50, 4))
+        q = rng.normal(size=(20, 4))
+        q[::3] *= scale
+        for train in (X, X * scale):
+            model = KnnClassifier(n_neighbors=4).fit(train, rng.integers(0, 3, 50))
+            want = _float64_proba(model, q)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert model.predict_proba(q).tobytes() == want.tobytes()
+                model.fit(train, rng.integers(0, 3, 50))
 
 
 class TestSvm:
