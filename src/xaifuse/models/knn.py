@@ -1,11 +1,11 @@
 """k-nearest-neighbor classifier scored in cache-sized blocks.
 
-Query rows are scored in the blocks of `ovr.row_blocks`: about
-BLOCK_CELLS // n_train rows each, and never one row alone unless the query
-has one row, since a one-row product takes BLAS gemv and rounds its
-distances differently. Each block's (rows x n_train) distances go into one
-array that stays in cache: the GEMM of `ovr._sq_distances` for p = 2, the
-same bits in every block of two or more rows, else `ovr._fold_distances`.
+Query rows are scored in the blocks of `ovr.row_blocks`, about
+BLOCK_CELLS // n_train rows each. Each block's (rows x n_train) distances go
+into one array that stays in cache: the GEMM of `ovr._sq_distances` for
+p = 2 (a one-row block gets the bits of a two-row one; other block sizes
+can move the last bits for some n_train, see that docstring), else
+`ovr._fold_distances`, whose cells do not depend on the block.
 
 Selection takes a row's k nearest with k passes of `argmin` over the
 block, writing inf over each cell it takes; one last `min` gives the
@@ -14,13 +14,14 @@ nearest are the only choice, and the row keeps them. Every other row (a
 tie at the k-th distance, a NaN distance, or an inf among the k nearest)
 gets its cells back and takes `argpartition`'s choice, as does every row
 when k exceeds ARGMIN_MAX_K. So the selection is argpartition's, row by
-row, and the block size does not change which neighbours a row gets.
+row, and given its distances the block size does not change which
+neighbours a row gets.
 
-A float32 screen goes first for p = 2, k <= ARGMIN_MAX_K and queries of
-two or more rows. It leaves |q|^2 out of the GEMM expansion: a row's own
-norm shifts all its distances alike, so the order and the gaps of its
-distances D are those of D~ = -2 q.t + |t|^2. One float32 GEMM per block
-gives D~: rows [-2q | 1] against the columns [t | |t|^2] that `fit` keeps.
+A float32 screen goes first for p = 2 and k <= ARGMIN_MAX_K. It leaves
+|q|^2 out of the GEMM expansion: a row's own norm shifts all its distances
+alike, so the order and the gaps of its distances D are those of D~ =
+-2 q.t + |t|^2. One float32 GEMM per block gives D~: rows [-2q | 1]
+against the columns [t | |t|^2] that `fit` keeps.
 A block holds 2 * BLOCK_CELLS 4-byte cells (`row_blocks` with itemsize 4),
 and the same argmin passes pick k neighbours. A row keeps them only when
 its float32 (k+1)-th value exceeds its k-th by more than
@@ -30,9 +31,9 @@ other training row j, D_j - D_i = D~_j - D~_i, so the float64 distances
 obey D64_j - D64_i >= D~32_j - D~32_i - 2(E32 + E64) > 0. The float64
 path then takes the same k rows with a strict gap, and the row's votes
 are its votes. Every other row (a tie, a near tie, a NaN, or a row
-outside the range of `_f32_safe`) is scored again by the float64 path, a
-lone such row with a copy of itself, so that it gets GEMM bits, not gemv
-bits.
+outside the range of `_f32_safe`) is scored again by the float64 path.
+The bound holds for any summation order, so a one-row block, which BLAS
+sums by gemv, is screened like any other.
 
 The bound. Take a query row q and a training row t of n features, S =
 |q|^2 + |t|^2, u = 2^-24, eta = 2^-126 (the smallest normal float32: the
@@ -132,14 +133,10 @@ class KnnClassifier(ProbaClassifier):
         return self
 
     def _neighbor_votes(self, X: np.ndarray) -> np.ndarray:
-        screen = self._xt32 is not None and self.p == 2.0 and self.n_neighbors <= ARGMIN_MAX_K
-        if not screen or len(X) < 2:
+        if self._xt32 is None or self.n_neighbors > ARGMIN_MAX_K:
             return self._float64_votes(X)
         votes, flagged = self._screened_votes(X)
-        if len(flagged):
-            # a lone row is scored with a copy of itself, by GEMM as in a block
-            rows = flagged if len(flagged) > 1 else np.repeat(flagged, 2)
-            votes[flagged] = self._float64_votes(X[rows])[: len(flagged)]
+        votes[flagged] = self._float64_votes(X[flagged])
         return votes
 
     def _float64_votes(self, X: np.ndarray) -> np.ndarray:
@@ -171,18 +168,17 @@ class KnnClassifier(ProbaClassifier):
         qa[:, :-1] *= -2
         qa[:, -1] = 1
         votes = np.zeros((len(X), len(self.classes_)))
-        flagged = []
+        kept = np.zeros(len(X), dtype=bool)
         n_train = self._xt32.shape[1]
         blocks = row_blocks(len(X), n_train, itemsize=4)
-        dist = np.empty((max(b.stop - b.start for b in blocks), n_train), np.float32)
+        dist = np.empty((max((b.stop - b.start for b in blocks), default=0), n_train), np.float32)
         for rows in blocks:
             d = dist[: rows.stop - rows.start]
             np.matmul(qa[rows], self._xt32, out=d)
             near, taken = self._argmin_passes(d)
-            keep = (d.min(axis=1) - taken.max(axis=1) > bound[rows]) & safe[rows]
-            votes[rows.start + np.flatnonzero(keep)] = self._vote_counts(self._yi[near[keep]])
-            flagged.append(rows.start + np.flatnonzero(~keep))
-        return votes, np.concatenate(flagged)
+            keep = kept[rows] = (d.min(axis=1) - taken.max(axis=1) > bound[rows]) & safe[rows]
+            votes[rows][keep] = self._vote_counts(self._yi[near[keep]])
+        return votes, np.flatnonzero(~kept)
 
     def _vote_counts(self, labels: np.ndarray) -> np.ndarray:
         """Each row's count of neighbours per class, from their class indices."""

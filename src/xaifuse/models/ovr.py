@@ -14,6 +14,10 @@ BLOCK_CELLS cells and stays in cache; kNN's float32 screen fills the same
 512 KiB with twice as many 4-byte cells. kNN and the SVM take their
 distances from `_sq_distances` (kNN with p = 2, SVM prediction) or
 `_fold_distances` (kNN with any other p, the kernel rows of an SVM fit).
+`_sq_distances` is the one BLAS product against stored rows whose bits a
+score keeps (kNN's float32 screen is bounded for any summation order), and
+it alone knows numpy's one-row rule (its docstring), so blocks may have any
+number of rows.
 """
 
 from __future__ import annotations
@@ -60,21 +64,13 @@ def ovr_proba(scores: np.ndarray) -> np.ndarray:
 BLOCK_CELLS = 1 << 16
 
 
-def row_blocks(n_rows: int, cols: int, multiple: int = 1, itemsize: int = 8) -> list[slice]:
+def row_blocks(n_rows: int, cols: int, itemsize: int = 8) -> list[slice]:
     """Consecutive slices over n_rows query rows, each scored as one
-    (rows x cols) block of itemsize-byte cells. A block starts every `step`
-    rows: the largest multiple of `multiple` with step * cols * itemsize <=
-    8 * BLOCK_CELLS, but at least max(2, multiple). A one-row tail joins the
-    block before it, because numpy scores a one-row product through BLAS
-    gemv, which rounds differently from the gemm of a block of two or more
-    rows."""
-    cells = BLOCK_CELLS * 8 // itemsize
-    step = max(2, multiple, cells // max(1, cols) // multiple * multiple)
-    bounds = list(range(0, n_rows, step))
-    if len(bounds) > 1 and n_rows - bounds[-1] == 1:
-        bounds.pop()
-    bounds.append(n_rows)
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    (rows x cols) block of itemsize-byte cells: step rows each, the most with
+    step * cols * itemsize <= 8 * BLOCK_CELLS but at least 2, so that only a
+    one-row query or a one-row tail is a block of one row."""
+    step = max(2, BLOCK_CELLS * 8 // itemsize // max(1, cols))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 def _sq_distances(q: np.ndarray, x: np.ndarray, sq_x: np.ndarray, out: np.ndarray) -> None:
@@ -82,7 +78,20 @@ def _sq_distances(q: np.ndarray, x: np.ndarray, sq_x: np.ndarray, out: np.ndarra
     (x**2).sum(1)) by one GEMM, clipped at 0, written into the len(q) x
     len(x) array out; the bits of (q**2).sum(1)[:, None] - 2.0 * q @ x.T +
     sq_x. The factor goes on q first: `q @ q.T` would take a symmetric BLAS
-    product that rounds differently."""
+    product that rounds differently.
+
+    numpy sends a one-row product to BLAS gemv, which rounds unlike the gemm
+    of two or more rows, so a one-row q is scored as two copies of itself and
+    keeps the first: it gets the bits of a two-row call. This is the one place
+    that knows the rule, and callers block their rows freely. A row's gemm
+    bits are not the same in every block for every shape, though: on OpenBLAS
+    0.3.31's Haswell kernels, a 2-row and a 64-row call can differ in the last
+    bits when len(x) is 193 or more and not a multiple of 8."""
+    if len(q) == 1:
+        pair = np.empty((2, len(x)))
+        _sq_distances(np.repeat(q, 2, axis=0), x, sq_x, pair)
+        out[:] = pair[:1]
+        return
     np.matmul(-2.0 * q, x.T, out=out)
     out += (q**2).sum(axis=1)[:, None]
     out += sq_x

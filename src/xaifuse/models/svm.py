@@ -19,13 +19,13 @@ those of the support vectors, so a fit holds at most n rows and usually a
 small share of them.
 
 `predict_proba` scores each machine in the row blocks of `ovr.row_blocks`,
-so a (rows x support vectors) kernel block holds about BLOCK_CELLS cells,
-and no block is one row alone unless the query is. The kernel values have
-the same bits in every block of two or more rows. Their product with the
-dual coefficients takes BLAS gemv, which rounds a row by its place in the
-block modulo the kernel's row group (4 rows on OpenBLAS's x86-64 kernels),
-so blocks start every multiple of 64 rows: each row keeps that place, and
-its score the bits of one unblocked call.
+so a (rows x support vectors) kernel block holds about BLOCK_CELLS cells.
+The kernel values come from `ovr._sq_distances`, and each row's product
+with the dual coefficients is summed by `einsum` in the same order for
+every row, not by BLAS gemv, which rounds a row by its place in the block.
+So a row's score does not depend on the rows scored with it, except where
+the distances' own GEMM bits do (for some support-vector counts of 193 or
+more, see `ovr._sq_distances`).
 """
 
 from __future__ import annotations
@@ -218,6 +218,7 @@ class SvmRbf(ProbaClassifier):
         for m, (sv, coef, b, (a, pb)) in enumerate(
             zip(self.support_vectors_, self.dual_coef_, self.intercept_, self.platt_)
         ):
-            for rows in row_blocks(len(X), len(sv), multiple=64):
-                scores[rows, m] = a * (_rbf(X[rows], sv, self.gamma_) @ coef + b) + pb
+            for rows in row_blocks(len(X), len(sv)):
+                kernel = _rbf(X[rows], sv, self.gamma_)
+                scores[rows, m] = a * (np.einsum("ij,j->i", kernel, coef) + b) + pb
         return ovr_proba(scores)
