@@ -354,6 +354,13 @@ def _hybrid_proba(
     return model.predict_proba(z.reshape(-1, p)).reshape(len(x), size, -1)
 
 
+# `_pair_shapley` subtracts down the high bits, one low column at a time,
+# where a run of low bits holds fewer elements than this. For 16 pairs of
+# 2^16 coalitions: 5.7 -> 1.8 ms at runs of 2 elements, 1.5 -> 1.0 ms at 3,
+# but 3.2 -> 3.7 ms at 4 and 1.9 -> 4.2 ms at 6 (best of 20, one thread)
+PAIR_RUN = 4
+
+
 def _pair_shapley(v: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
     """Shapley values of m players from v over all 2^m coalitions, where bit
     t of a coalition's index marks player t and weights[t] holds w(|S|) for
@@ -361,10 +368,15 @@ def _pair_shapley(v: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
     whose marginal contributions are all exactly 0 gets exactly 0."""
     k, n_s, n_out = v.shape
     phi = np.empty((k, len(weights), n_out))
+    delta = np.empty((k, n_s >> 1, n_out))
     for t, w in enumerate(weights):
-        # split each coalition index at bit t: (high bits, bit t, low bits)
-        vt = v.reshape(k, n_s >> (t + 1), 2, 1 << t, n_out)
-        delta = (vt[:, :, 1] - vt[:, :, 0]).reshape(k, n_s >> 1, n_out)
+        # split each coalition index at bit t: (high bits, bit t, low bits
+        # and outputs), one run of low bits per high index
+        high, low = k * (n_s >> (t + 1)), (1 << t) * n_out
+        vt = v.reshape(high, 2, low)
+        dt = delta.reshape(high, low)
+        for cols in [slice(None)] if low >= PAIR_RUN else range(low):
+            np.subtract(vt[:, 1, cols], vt[:, 0, cols], out=dt[:, cols])
         phi[:, t] = w @ delta
     return phi
 

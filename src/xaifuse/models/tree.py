@@ -2,22 +2,26 @@
 walker serve every tree family (decision tree, random forest, AdaBoost and
 the gradient-boosted judges).
 
-Building. `DecisionTree._fit`, the one way in for every family, grows a
-tree one depth level at a time and searches the splits of every node at
-that level over all features at once, in a (features, positions) layout,
-one array per statistic column:
+Building. `_grow`, the one builder, grows trees one depth level at a time
+and searches the splits of every node at that level over all features at
+once, in a (features, positions) layout, one statistic column at a time.
+`DecisionTree._fit` grows one tree through it, for the decision tree,
+AdaBoost and the gradient-boosted judges; a random forest passes groups of
+its bootstrap trees, each group through one level loop whose first level
+holds one root per tree:
 
 - A row may stand for several rows (a bootstrap draws some rows more than
   once): it carries a count, and node sizes, min_samples_leaf,
   min_samples_split and n_node_samples_ add the counts, so the tree is the
   one grown on the rows repeated. Positions hold distinct rows.
 - Each feature keeps its rows in (node, value) order. At the root that is
-  a stable argsort of the column; a forest takes each tree's from one
-  argsort of its training matrix, keeping the drawn rows. A level's order
-  is the previous level's without the rows that ended in leaves, each
-  parent's rows split stably into its left child's and then its right
-  child's, so no level sorts again. A column that is constant on the fit
-  rows has no threshold and is left out.
+  a stable argsort of the column; a forest's group lays its trees' drawn
+  rows end to end and takes each tree's order from one argsort of the
+  training matrix, keeping that tree's rows. A level's order is the
+  previous level's without the rows that ended in leaves, each parent's
+  rows split stably into its left child's and then its right child's, so
+  no level sorts again. A column that is constant on the fit rows has no
+  threshold and is left out (in a forest, constant on its training rows).
 - Node totals are `np.bincount` sums over the active rows in row order.
 - The statistic columns are the target for mse, and for gini one column
   per class holding each row's weight in its class. Where rows weigh
@@ -33,6 +37,11 @@ one array per statistic column:
   rounding level. The sum keeps running over every active row:
   restricting it to the rows of splittable nodes changed 1 of 12 ranked
   classification trees and 20 of 120 judge trees on one VeReMi run.
+  With integer class counts every prefix sum is exact whichever rows come
+  first, so the trees of a forest's group share each level's sums and
+  each still splits as if grown alone. Only such counted trees share a
+  loop (`_grow` refuses others); AdaBoost and the judges grow one tree at a
+  time.
 - A candidate threshold is a midpoint strictly between two distinct
   adjacent values in one node that leaves at least min_samples_leaf rows
   on each side; the gain algebra runs over every adjacent pair at once and
@@ -41,6 +50,9 @@ one array per statistic column:
 - Each node takes its highest gain. Ties resolve to the lowest feature
   index, then the lowest threshold, so a refit is bit-for-bit
   reproducible. No randomness anywhere.
+- After the last level each tree reads out its own nodes in level order,
+  numbered from 0 as if grown alone, with its own child ids; a forest's
+  tree then keeps the columns of the classes its draw holds.
 - The builder also returns the leaf each fit row reached, routed by the
   walker's `x <= threshold` test, so boosting reads its fit rows' leaves
   without walking the tree.
@@ -79,21 +91,6 @@ def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     feats = np.flatnonzero((X[1:] != X[:1]).any(axis=0))
     xt = np.ascontiguousarray(X[:, feats].T)
     return feats, xt, np.argsort(xt, axis=1, kind="stable")
-
-
-def _presort_rows(presorted, rows: np.ndarray):
-    """`_presort(X[rows])` for ascending rows, from `presorted = _presort(X)`
-    without sorting again: each column keeps its stable order over the
-    rows that remain, renumbered, and a column constant on them is left
-    out."""
-    feats, xt, order = presorted
-    sub = xt[:, rows]
-    vary = (sub[:, 1:] != sub[:, :1]).any(axis=1)
-    kept = np.zeros(order.shape[1], dtype=bool)
-    kept[rows] = True
-    order = order[vary]
-    order = order[kept[order]].reshape(len(order), len(rows))
-    return feats[vary], np.ascontiguousarray(sub[vary]), (np.cumsum(kept) - 1)[order]
 
 
 def _left_sums(v: np.ndarray, order: np.ndarray, base: np.ndarray, out=None) -> np.ndarray:
@@ -135,34 +132,45 @@ def _best_splits(
     xa, xb = xs[:, :-1], xs[:, 1:]
     mid = (xa + xb) / 2.0
     cand = (s0 == seg[1:]) & splittable[s0] & (mid > xa) & (mid < xb)
+    # (features, positions) arrays are freed once used: a forest's group
+    # makes them large
+    del xs, xa, xb, mid
     if min_leaf > 1:  # each side of a split inside a node holds a row
         cand &= (left_n >= min_leaf) & (tn[s0] - left_n >= min_leaf)
     if not cand.any():
         return best_gain, best_feat, best_thr
     # the left sides come from level-wide prefix sums (see the module
-    # docstring), one (features, positions) slab per statistic column.
-    # Integer statistics (class counts) sum exactly, so the last class
-    # holds what the other classes leave of the count
+    # docstring), one (features, positions) slab per statistic column at a
+    # time. Integer statistics (class counts) sum exactly, so the last
+    # class holds what the other classes leave of the count
     if w is None:
         left_w = left_n.astype(np.float64)  # integers: the count, exactly
     else:
         left_w = _left_sums(w, order, base)
+    del left_n
     right_w = tw[s0] - left_w
     counted = stat.dtype.kind == "i"
-    lefts = np.empty((len(stat), n_feat, m - 1))
-    for c in range(len(stat) - counted):
-        _left_sums(stat[c], order, base, out=lefts[c])
     if counted:
-        np.subtract(left_w, lefts[:-1].sum(axis=0), out=lefts[-1])
-    rights = np.subtract(tot.T[:, s0][:, None, :], lefts)
-    lefts *= lefts
-    rights *= rights
-    for c in range(1, len(stat)):  # in column order, which fixes the float bits
-        lefts[0] += lefts[c]
-        rights[0] += rights[c]
+        taken = np.zeros((n_feat, m - 1))
+    for c in range(len(stat)):  # in column order, which fixes the float bits
+        if counted and c == len(stat) - 1:
+            left = np.subtract(left_w, taken, out=taken)
+        else:
+            left = _left_sums(stat[c], order, base, out=np.empty((n_feat, m - 1)))
+            if counted:
+                taken += left
+        right = np.subtract(tot[s0, c], left)
+        left *= left
+        right *= right
+        if c == 0:
+            gain, sr = left, right
+        else:
+            gain += left
+            sr += right
+        del left, right
     with np.errstate(invalid="ignore", divide="ignore"):
-        gain = lefts[0] / left_w
-        sr = rights[0] / right_w
+        gain /= left_w
+        sr /= right_w
     if w is not None:  # a side of zero-weight rows scores 0 (a counted row weighs 1 or more)
         gain[~(left_w > 0)] = 0.0
         sr[~(right_w > 0)] = 0.0
@@ -184,7 +192,7 @@ def _best_splits(
     wf, wp = np.divmod(win[found], m - 1)
     best_gain[found] = top[found]
     best_feat[found] = wf
-    best_thr[found] = (xs[wf, wp] + xs[wf, wp + 1]) / 2.0
+    best_thr[found] = (xt[wf, order[wf, wp]] + xt[wf, order[wf, wp + 1]]) / 2.0
     return best_gain, best_feat, best_thr
 
 
@@ -202,11 +210,156 @@ def _child_order(order, go_right, n_left, n_right):
     rb = np.cumsum(r, axis=1)
     rb -= r
     rb -= right_before
-    dest = np.where(r, right_lo + rb, np.arange(m) - rb)
+    # a left row moves back past the right rows before it; a right row goes
+    # to the right block after them
+    dest = np.subtract(np.arange(m), rb)
+    rb += right_lo
+    np.copyto(dest, rb, where=r)
+    del rb
     dest += m * np.arange(n_feat)[:, None]
     out = np.empty(order.size, dtype=order.dtype)
     out[dest.ravel()] = order.ravel()  # a scatter; np.put took twice as long
     return out.reshape(n_feat, m)
+
+
+def _grow(trees, sizes, stat: np.ndarray, yi, w, cnt, presorted) -> list[np.ndarray]:
+    """Grow `trees`, which share their size limits, through one level loop
+    whose first level holds one root per tree: the rows of tree t are the
+    sizes[t] rows after those of the trees before it. stat is (statistic
+    columns, rows); yi holds the class index of each row, or None for
+    regression. w holds the row weights, or None where each row weighs its
+    count; cnt holds the row counts, or None where each row counts once.
+    presorted is `_presort` of the rows, each feature's order running over
+    the trees' rows tree by tree.
+
+    A level's prefix sums run over the rows of every tree, so trees share a
+    loop only where the statistics are integer counts (w is None and stat
+    integer): then every sum is exact and each tree is the one grown alone.
+    Each tree gets its node arrays, numbered level by level as if grown
+    alone; returns the leaf each of its rows reached, per tree."""
+    if len(trees) > 1 and not (w is None and stat.dtype.kind == "i"):
+        raise ValueError("only trees of counted rows share a level loop")
+    lead = trees[0]
+    k, n = stat.shape
+    min_leaf = lead.min_samples_leaf
+    # node totals are bincounts of (node, col) weighted by sv: each row's
+    # class and weight for gini, column 0 and the target for mse
+    if yi is None:
+        col, sv = np.zeros(n, dtype=np.int64), stat[0]
+        sq = stat[0] ** 2
+    else:
+        col, sv = yi, (cnt if w is None else w)
+    feats, xt, order = presorted
+    act = np.arange(n)  # rows of active nodes, ascending
+    n_active = len(trees)
+    slot = np.repeat(np.arange(n_active), sizes)  # each row's node, by index in its level
+    owner = np.arange(n_active)  # each active node's tree
+    leaf_of = np.empty(n, dtype=np.int64)
+    first_id = 0
+    levels = []
+
+    for depth in range(lead.max_depth + 1):
+        s_act = slot[act]
+        tot = np.bincount(
+            s_act * k + col[act],
+            weights=None if sv is None else sv[act],
+            minlength=n_active * k,
+        ).reshape(n_active, k).astype(np.float64, copy=False)
+        nr = np.bincount(s_act, minlength=n_active)  # rows, each counted once
+        tn = nr
+        if cnt is not None:
+            tn = np.bincount(s_act, weights=cnt[act], minlength=n_active).astype(np.int64)
+        if w is None:
+            tw = tn.astype(np.float64)
+        else:
+            tw = np.bincount(s_act, weights=w[act], minlength=n_active)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            parent_score = np.where(tw > 0, (tot**2).sum(axis=1) / tw, 0.0)
+        if yi is None:
+            impurity = np.bincount(s_act, weights=sq[act], minlength=n_active)
+            impurity -= parent_score
+        else:
+            impurity = tw - parent_score
+        # relative purity tolerance: constant nodes may carry fp dust
+        pure = impurity <= np.maximum(tw, 1.0) * 1e-12
+        splittable = (
+            (tn >= lead.min_samples_split)
+            & (tn >= 2 * min_leaf)
+            & ~pure
+            & (depth < lead.max_depth)
+        )
+        seg = np.repeat(np.arange(n_active), nr)
+        start = np.cumsum(nr) - nr
+        best_gain, best_feat, best_thr = _best_splits(
+            xt, order, seg, start, stat, w, cnt, tot, tw, tn, parent_score,
+            splittable, min_leaf,
+        )
+        # zero-gain splits are accepted (they still shrink both sides,
+        # and parity-style labelings need them); the tolerance only
+        # absorbs cancellation noise in the prefix sums
+        tol = np.maximum(tw, 1.0) * 1e-12
+        accept = (best_feat >= 0) & (best_gain >= -tol)
+
+        rank = np.cumsum(accept) - 1
+        left_id = first_id + n_active + 2 * rank
+        value = np.zeros((n_active, k))
+        leaf = ~accept
+        weighted = leaf & (tw > 0)
+        value[weighted] = tot[weighted] / tw[weighted][:, None]
+        for s in np.flatnonzero(leaf & (tw == 0)):
+            # only zero-weight rows reached this node (classification
+            # only: regression rows weigh 1); fall back to unweighted
+            # class counts so the leaf still answers
+            cc = np.bincount(yi[act[s_act == s]], minlength=k).astype(float)
+            value[s] = cc / max(cc.sum(), 1.0)
+        feature = np.full(n_active, -1, dtype=np.int64)
+        feature[accept] = feats[best_feat[accept]]
+        levels.append(
+            (
+                feature,
+                np.where(accept, best_thr, 0.0),
+                np.where(accept, left_id, -1),
+                np.where(accept, left_id + 1, -1),
+                tn,
+                value,
+                owner,
+            )
+        )
+        keep = accept[s_act]
+        leaf_of[act[~keep]] = first_id + s_act[~keep]
+        if not accept.any():
+            break
+
+        rows, s_rows = act[keep], s_act[keep]
+        # the walker's test: a row goes left where x <= threshold
+        go_right = np.zeros(n, dtype=bool)
+        go_right[rows] = ~(xt[best_feat[s_rows], rows] <= best_thr[s_rows])
+        slot[rows] = 2 * rank[s_rows] + go_right[rows]
+        counts = np.bincount(slot[rows], minlength=2 * int(accept.sum()))
+        if depth + 1 < lead.max_depth:  # no node of the last level splits
+            order = order[:, accept[seg]]  # and the last level's order is freed
+            order = _child_order(order, go_right, counts[0::2], counts[1::2])
+        act = rows
+        owner = np.repeat(owner[accept], 2)
+        first_id += n_active
+        n_active = len(counts)
+
+    # each tree reads out its nodes in level order, renumbered from 0
+    feature, threshold, left, right, n_samples, value, owner = map(np.concatenate, zip(*levels))
+    nodes = np.argsort(owner, kind="stable")
+    n_nodes = np.bincount(owner, minlength=len(trees))
+    local = np.empty(len(owner), dtype=np.int64)
+    local[nodes] = np.arange(len(owner)) - np.repeat(np.cumsum(n_nodes) - n_nodes, n_nodes)
+    left = np.where(left < 0, -1, local[left])
+    right = np.where(right < 0, -1, local[right])
+    for tree, ids in zip(trees, np.split(nodes, np.cumsum(n_nodes)[:-1])):
+        tree.feature_ = feature[ids].astype(np.int64)
+        tree.threshold_ = threshold[ids].astype(np.float64)
+        tree.children_left_ = left[ids].astype(np.int64)
+        tree.children_right_ = right[ids].astype(np.int64)
+        tree.n_node_samples_ = n_samples[ids].astype(np.int64)
+        tree.value_ = value[ids]
+    return np.split(local[leaf_of], np.cumsum(sizes)[:-1])
 
 
 class DecisionTree(ProbaClassifier):
@@ -251,7 +404,7 @@ class DecisionTree(ProbaClassifier):
         presorted = presorted or _presort(X)
         if regression:
             stat = np.asarray(y, dtype=np.float64)[None, :]
-            return self._grow(stat, None, None, None, presorted)
+            return _grow([self], [len(X)], stat, None, None, None, presorted)[0]
         n = X.shape[0]
         if w is not None:
             w = np.asarray(w, dtype=np.float64)
@@ -263,122 +416,7 @@ class DecisionTree(ProbaClassifier):
         row_w = counts if w is None else w
         stat = np.zeros((len(self.classes_), n), dtype=np.int64 if w is None else np.float64)
         stat[yi, np.arange(n)] = 1 if row_w is None else row_w
-        return self._grow(stat, yi, w, counts, presorted)
-
-    def _grow(self, stat: np.ndarray, yi, w, cnt, presorted) -> np.ndarray:
-        """Grow on stat, (statistic columns, rows); yi holds the class index
-        of each row, or None for regression. w holds the row weights, or None
-        where each row weighs its count; cnt holds the row counts, or None
-        where each row counts once. Returns the leaf each row reached."""
-        k, n = stat.shape
-        min_leaf = self.min_samples_leaf
-        # node totals are bincounts of (node, col) weighted by sv: each row's
-        # class and weight for gini, column 0 and the target for mse
-        if yi is None:
-            col, sv = np.zeros(n, dtype=np.int64), stat[0]
-            sq = stat[0] ** 2
-        else:
-            col, sv = yi, (cnt if w is None else w)
-        feats, xt, order = presorted
-        act = np.arange(n)  # rows of active nodes, ascending
-        slot = np.zeros(n, dtype=np.int64)  # each row's node, by index in its level
-        leaf_of = np.empty(n, dtype=np.int64)
-        n_active, first_id = 1, 0
-        levels = []
-
-        for depth in range(self.max_depth + 1):
-            s_act = slot[act]
-            tot = np.bincount(
-                s_act * k + col[act],
-                weights=None if sv is None else sv[act],
-                minlength=n_active * k,
-            ).reshape(n_active, k).astype(np.float64, copy=False)
-            nr = np.bincount(s_act, minlength=n_active)  # rows, each counted once
-            tn = nr
-            if cnt is not None:
-                tn = np.bincount(s_act, weights=cnt[act], minlength=n_active).astype(np.int64)
-            if w is None:
-                tw = tn.astype(np.float64)
-            else:
-                tw = np.bincount(s_act, weights=w[act], minlength=n_active)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                parent_score = np.where(tw > 0, (tot**2).sum(axis=1) / tw, 0.0)
-            if yi is None:
-                impurity = np.bincount(s_act, weights=sq[act], minlength=n_active)
-                impurity -= parent_score
-            else:
-                impurity = tw - parent_score
-            # relative purity tolerance: constant nodes may carry fp dust
-            pure = impurity <= np.maximum(tw, 1.0) * 1e-12
-            splittable = (
-                (tn >= self.min_samples_split)
-                & (tn >= 2 * min_leaf)
-                & ~pure
-                & (depth < self.max_depth)
-            )
-            seg = np.repeat(np.arange(n_active), nr)
-            start = np.cumsum(nr) - nr
-            best_gain, best_feat, best_thr = _best_splits(
-                xt, order, seg, start, stat, w, cnt, tot, tw, tn, parent_score,
-                splittable, min_leaf,
-            )
-            # zero-gain splits are accepted (they still shrink both sides,
-            # and parity-style labelings need them); the tolerance only
-            # absorbs cancellation noise in the prefix sums
-            tol = np.maximum(tw, 1.0) * 1e-12
-            accept = (best_feat >= 0) & (best_gain >= -tol)
-
-            rank = np.cumsum(accept) - 1
-            left_id = first_id + n_active + 2 * rank
-            value = np.zeros((n_active, k))
-            leaf = ~accept
-            weighted = leaf & (tw > 0)
-            value[weighted] = tot[weighted] / tw[weighted][:, None]
-            for s in np.flatnonzero(leaf & (tw == 0)):
-                # only zero-weight rows reached this node (classification
-                # only: regression rows weigh 1); fall back to unweighted
-                # class counts so the leaf still answers
-                cc = np.bincount(yi[act[s_act == s]], minlength=k).astype(float)
-                value[s] = cc / max(cc.sum(), 1.0)
-            feature = np.full(n_active, -1, dtype=np.int64)
-            feature[accept] = feats[best_feat[accept]]
-            levels.append(
-                (
-                    feature,
-                    np.where(accept, best_thr, 0.0),
-                    np.where(accept, left_id, -1),
-                    np.where(accept, left_id + 1, -1),
-                    tn,
-                    value,
-                )
-            )
-            keep = accept[s_act]
-            leaf_of[act[~keep]] = first_id + s_act[~keep]
-            if not accept.any():
-                break
-
-            rows, s_rows = act[keep], s_act[keep]
-            # the walker's test: a row goes left where x <= threshold
-            go_right = np.zeros(n, dtype=bool)
-            go_right[rows] = ~(xt[best_feat[s_rows], rows] <= best_thr[s_rows])
-            slot[rows] = 2 * rank[s_rows] + go_right[rows]
-            counts = np.bincount(slot[rows], minlength=2 * int(accept.sum()))
-            if depth + 1 < self.max_depth:  # no node of the last level splits
-                order = _child_order(
-                    order[:, accept[seg]], go_right, counts[0::2], counts[1::2]
-                )
-            act = rows
-            first_id += n_active
-            n_active = len(counts)
-
-        feature, threshold, left, right, n_samples, value = map(np.concatenate, zip(*levels))
-        self.feature_ = feature.astype(np.int64)
-        self.threshold_ = threshold.astype(np.float64)
-        self.children_left_ = left.astype(np.int64)
-        self.children_right_ = right.astype(np.int64)
-        self.n_node_samples_ = n_samples.astype(np.int64)
-        self.value_ = value
-        return leaf_of
+        return _grow([self], [n], stat, yi, w, counts, presorted)[0]
 
     # -- inference -------------------------------------------------------
 

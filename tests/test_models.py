@@ -20,7 +20,7 @@ from xaifuse.models import (
     resolve_params,
     train_model,
 )
-from xaifuse.models import _FAMILIES, knn, ovr, svm, tree
+from xaifuse.models import _FAMILIES, forest, knn, ovr, svm, tree
 from xaifuse.models.ovr import ProbaClassifier, ovr_proba, ovr_targets, row_blocks, softmax
 from xaifuse.models.svm import _rbf
 from xaifuse.seeding import derive_seed, rng_for
@@ -577,17 +577,107 @@ class TestCountedBootstrap:
             assert_bitwise_equal(tree_arrays(fitted), want)
             np.testing.assert_array_equal(fitted.classes_, np.unique(y[idx]))
 
-    def test_presort_of_rows_equals_a_fresh_presort(self):
-        rng = np.random.default_rng(70)
-        X = rng.integers(0, 3, size=(50, 4)).astype(float)
-        X[:, 2] = rng.normal(size=50)
-        X[:, 3] = 1.0
-        X[40:, 1] = 5.0
-        full = tree._presort(X)
-        for rows in (np.arange(50), np.arange(40, 50), np.unique(rng.integers(0, 50, 50))):
-            for got, want in zip(tree._presort_rows(full, rows), tree._presort(X[rows])):
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want)
+
+class TestForestGroups:
+    """`RandomForest.fit` grows its bootstrap trees in groups through one
+    level loop; each tree must be the one `DecisionTree._fit` grows alone on
+    its drawn rows and counts."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        values=st.sampled_from(["grid", "normal"]),
+        n_classes=st.integers(1, 4),
+        rare=st.booleans(),
+        max_depth=st.sampled_from([0, 1, 3, 50]),
+        min_leaf=st.integers(1, 4),
+        min_split=st.integers(2, 5),
+        bootstrap=st.booleans(),
+        n_trees=st.integers(1, 8),
+        groups=st.sampled_from(["single", "pairs", "all"]),
+    )
+    def test_each_tree_equals_the_tree_fitted_alone(
+        self, seed, values, n_classes, rare, max_depth, min_leaf, min_split, bootstrap,
+        n_trees, groups,
+    ):
+        X, y, _, _ = kernel_case(seed, values, "none", n_classes)
+        n = len(y)
+        if rare and n_classes > 1:
+            # one row of class 0: draws that miss it leave a class out
+            y = 1 + y % (n_classes - 1)
+            y[0] = 0
+        feats = tree._presort(X)[0]
+        # a group's rows times the varying features stay within half the
+        # budget; every tree has at most n rows
+        budget = {"single": 0, "pairs": 4 * n * len(feats), "all": 1 << 40}[groups]
+        seen = []
+        grow = tree._grow
+
+        def spy(trees, sizes, stat, yi, w, cnt, presorted):
+            seen.append((trees, sizes, presorted))
+            return grow(trees, sizes, stat, yi, w, cnt, presorted)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ovr, "BLOCK_CELLS", budget)
+            mp.setattr(forest, "_grow", spy)
+            model = RandomForest(
+                n_estimators=n_trees,
+                max_depth=max_depth,
+                min_samples_leaf=min_leaf,
+                min_samples_split=min_split,
+                bootstrap=bootstrap,
+                seed=seed,
+            ).fit(X, y)
+        sizes = [len(trees) for trees, _, _ in seen]
+        assert sum(sizes) == n_trees
+        if groups == "all" or not len(feats):  # trees without a feature take no cells
+            assert sizes == [n_trees]
+        elif groups == "pairs":
+            assert min(sizes[:-1] or [2]) >= 2
+        else:
+            assert sizes == [1] * n_trees
+        draws = []
+        for t in range(n_trees):
+            counts = np.bincount(rng_for(seed, "tree", t).integers(0, n, size=n), minlength=n)
+            draws.append(np.flatnonzero(counts) if bootstrap else np.arange(n))
+            alone = DecisionTree(max_depth, min_leaf, min_split)
+            alone._fit(
+                X[draws[t]], y[draws[t]], counts=counts[draws[t]] if bootstrap else None
+            )
+            fitted = model.trees_[t]
+            assert_bitwise_equal(tree_arrays(fitted), tree_arrays(alone))
+            assert fitted.classes_.dtype == alone.classes_.dtype
+            np.testing.assert_array_equal(fitted.classes_, alone.classes_)
+        # each tree's block of a group's presort holds its rows' values and
+        # their stable order, as a fresh presort of the rows would
+        t = 0
+        for trees, sizes, (got_feats, xt, order) in seen:
+            np.testing.assert_array_equal(got_feats, feats)
+            start = 0
+            for size in sizes:
+                rows = X[draws[t]][:, feats]
+                block = slice(start, start + size)
+                assert xt.dtype == rows.dtype and order.dtype == np.dtype(np.intp)
+                np.testing.assert_array_equal(xt[:, block], rows.T)
+                np.testing.assert_array_equal(
+                    order[:, block] - start, np.argsort(rows.T, axis=1, kind="stable")
+                )
+                start, t = start + size, t + 1
+
+    def test_trees_of_weighted_rows_grow_alone(self):
+        # with float statistics a level's prefix sums would carry rounding
+        # from the other trees' rows
+        X = np.arange(8.0)[:, None]
+        y = np.array([0, 1] * 4)
+        stat = np.zeros((2, 16))
+        stat[np.tile(y, 2), np.arange(16)] = 0.1
+        presorted = tree._presort(np.vstack([X, X]))
+        trees = [DecisionTree(), DecisionTree()]
+        with pytest.raises(ValueError, match="counted"):
+            tree._grow(trees, [8, 8], stat, np.tile(y, 2), np.full(16, 0.1), None, presorted)
+        regression = np.tile(np.linspace(0.1, 0.8, 8), 2)[None, :]
+        with pytest.raises(ValueError, match="counted"):
+            tree._grow(trees, [8, 8], regression, None, None, None, presorted)
 
 
 class TestFitLeaves:
@@ -607,16 +697,23 @@ class TestFitLeaves:
         X[:, 1] = rng.integers(0, 3, 80)
         y = rng.integers(0, 3, 80)
         grown = []
-        fit = tree.DecisionTree._fit
+        grow = tree._grow
 
-        def spy(self, rows, *args, **kwargs):
-            leaves = fit(self, rows, *args, **kwargs)
-            grown.append((self, np.asarray(rows, dtype=np.float64), leaves))
+        def spy(trees, sizes, *args):
+            leaves = grow(trees, sizes, *args)
+            # the fit rows, rebuilt from their varying features: a tree
+            # splits on no other
+            feats, xt, _ = args[-1]
+            rows = np.zeros((xt.shape[1], X.shape[1]))
+            rows[:, feats] = xt.T
+            grown.extend(zip(trees, np.split(rows, np.cumsum(sizes)[:-1]), leaves, strict=True))
             return leaves
 
-        monkeypatch.setattr(tree.DecisionTree, "_fit", spy)
-        make().fit(X, y)
-        assert grown
+        # the forest grows its trees in groups, the others one at a time
+        monkeypatch.setattr(tree, "_grow", spy)
+        monkeypatch.setattr(forest, "_grow", spy)
+        model = make().fit(X, y)
+        assert len(grown) == len(np.ravel(getattr(model, "trees_", [model])))
         for fitted, rows, leaves in grown:
             np.testing.assert_array_equal(tree.TreeStack([fitted])._walk(rows)[:, 0], leaves)
             np.testing.assert_array_equal(leaves, per_tree_apply(fitted, rows))
@@ -1245,6 +1342,193 @@ class TestSvm:
         assert peak < 8 * n * n / 8
         assert dtypes == {np.dtype(np.float64)}
         assert (model.predict(X) == y).all()
+
+
+def scan_smo(rows, y_pm, c, tol, max_updates, searched=None):
+    """SMO with one O(n) partner scan per KKT violator: the reference that
+    `svm._smo` must equal bit for bit. Appends each scanned violator to
+    searched, if given."""
+    n = len(y_pm)
+    alpha = np.zeros(n)
+    b = 0.0
+    err = -y_pm
+    updates = 0
+    passes_clean = 0
+    while passes_clean < 1 and updates < max_updates:
+        changed = 0
+        for i in range(n):
+            yi = y_pm[i]
+            ei = err[i]
+            r = ei * yi
+            if not ((r < -tol and alpha[i] < c) or (r > tol and alpha[i] > 0)):
+                continue
+            if searched is not None:
+                searched.append(i)
+            gap = np.abs(err - ei)
+            gap[i] = -1.0
+            j = int(np.argmax(gap))
+            yj = y_pm[j]
+            ej = err[j]
+            ai_old, aj_old = alpha[i], alpha[j]
+            if yi != yj:
+                lo = max(0.0, aj_old - ai_old)
+                hi = min(c, c + aj_old - ai_old)
+            else:
+                lo = max(0.0, ai_old + aj_old - c)
+                hi = min(c, ai_old + aj_old)
+            if lo >= hi:
+                continue
+            kij = rows[j][i]
+            eta = 2.0 * kij - 2.0
+            if eta >= 0:
+                continue
+            aj = aj_old - yj * (ei - ej) / eta
+            aj = min(max(aj, lo), hi)
+            if abs(aj - aj_old) < 1e-12:
+                continue
+            ai = ai_old + yi * yj * (aj_old - aj)
+            alpha[i], alpha[j] = ai, aj
+            di = yi * (ai - ai_old)
+            dj = yj * (aj - aj_old)
+            b1 = b - ei - di - dj * kij
+            b2 = b - ej - di * kij - dj
+            if 0 < ai < c:
+                b_new = b1
+            elif 0 < aj < c:
+                b_new = b2
+            else:
+                b_new = (b1 + b2) / 2.0
+            err += di * rows[i] + dj * rows[j] + (b_new - b)
+            b = b_new
+            changed += 1
+            updates += 1
+            if updates >= max_updates:
+                break
+        passes_clean = passes_clean + 1 if changed == 0 else 0
+    return alpha, b
+
+
+def scan_pairs(err, alpha, y_pm, c, tol):
+    """The (violator, partner) pairs of `scan_smo`'s scan of one state, where
+    the box for the partner's alpha is not empty."""
+    pairs = []
+    for i in range(len(err)):
+        r = err[i] * y_pm[i]
+        if not ((r < -tol and alpha[i] < c) or (r > tol and alpha[i] > 0)):
+            continue
+        gap = np.abs(err - err[i])
+        gap[i] = -1.0
+        j = int(np.argmax(gap))
+        ai, aj = alpha[i], alpha[j]
+        if y_pm[i] != y_pm[j]:
+            lo, hi = max(0.0, aj - ai), min(c, c + aj - ai)
+        else:
+            lo, hi = max(0.0, ai + aj - c), min(c, ai + aj)
+        if lo < hi:
+            pairs.append((i, j))
+    return pairs
+
+
+def spy_scans(mp) -> list[int]:
+    """The violators whose partner `svm._pairs` took by the O(n) scan."""
+    scanned = []
+    scan = svm._scan_partner
+
+    def spy(err, i):
+        scanned.append(int(i))
+        return scan(err, i)
+
+    mp.setattr(svm, "_scan_partner", spy)
+    return scanned
+
+
+class TestSmoPartners:
+    """`svm._smo` reads each violator's partner from err's extremes and scans
+    only where they cannot decide; its alpha and b must be `scan_smo`'s."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        grid=st.booleans(),
+        c=st.sampled_from([0.01, 0.1, 1.0, 3.0, 10.0]),
+        gamma=st.sampled_from([0.05, 0.5, 2.0, 50.0]),
+        tol=st.sampled_from([1e-3, 0.1]),
+        extra=st.integers(0, 200),
+        chunk=st.sampled_from([1, 3, 256]),
+        one_label=st.booleans(),
+    )
+    def test_alpha_and_b_equal_the_scan(
+        self, seed, n, grid, c, gamma, tol, extra, chunk, one_label
+    ):
+        rng = np.random.default_rng(seed)
+        if grid:  # duplicate rows and many equal errors
+            X = rng.integers(0, 3, size=(n, 3)).astype(float)
+        else:
+            X = rng.normal(size=(n, 3))
+        y_pm = np.ones(n) if one_label else rng.choice([-1.0, 1.0], n)
+        rows = svm._KernelRows(X, gamma)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(svm, "SCAN_CHUNK", chunk)
+            alpha, b = svm._smo(rows, y_pm, c, tol, n + extra)
+        want_alpha, want_b = scan_smo(rows, y_pm, c, tol, n + extra)
+        assert alpha.tobytes() == want_alpha.tobytes()
+        assert np.float64(b).tobytes() == np.float64(want_b).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 512])
+    def test_a_rounding_collision_takes_the_scan(self, chunk):
+        # seen from -0.5, the maximum 1.0 and the next value inward,
+        # 1 - 2**-53, both give the gap 1.5 after rounding, and the scan
+        # takes the lower index, which holds the inner value
+        err = np.array([1.0 - 2.0**-53, 1.0, -0.5])
+        y_pm = np.array([-1.0, -1.0, 1.0])
+        alpha = np.zeros(3)
+        assert abs(err[1] - err[2]) == abs(err[0] - err[2])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(svm, "SCAN_CHUNK", chunk)
+            scanned = spy_scans(mp)
+            pairs = list(svm._pairs(err, alpha, y_pm, 1.0, 1e-3, 0))
+        assert pairs == scan_pairs(err, alpha, y_pm, 1.0, 1e-3) == [(0, 2), (1, 2), (2, 0)]
+        assert scanned == [2]
+
+    def test_a_violator_alone_at_an_extreme_takes_the_other_one(self):
+        # row 3 alone holds the maximum; its gap to itself is 0, so its
+        # partner is the lowest holder of the minimum. Row 2 is as far from
+        # both extremes, and takes the lower of their lowest holders
+        err = np.array([-1.0, 0.5, 0.5, 2.0, -1.0])
+        y_pm = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
+        alpha = np.array([0.5, 0.0, 0.5, 0.5, 0.0])
+        with pytest.MonkeyPatch.context() as mp:
+            scanned = spy_scans(mp)
+            pairs = list(svm._pairs(err, alpha, y_pm, 1.0, 1e-3, 0))
+        assert pairs == scan_pairs(err, alpha, y_pm, 1.0, 1e-3)
+        assert pairs == [(0, 3), (2, 0), (3, 0), (4, 3)]
+        assert scanned == []
+
+    def test_equal_errors_take_the_scan(self):
+        # every gap is 0: the scan's partner is the lowest index but i
+        err = np.full(3, -1.0)
+        y_pm = np.ones(3)
+        alpha = np.full(3, 0.5)
+        with pytest.MonkeyPatch.context() as mp:
+            scanned = spy_scans(mp)
+            pairs = list(svm._pairs(err, alpha, y_pm, 1.0, 1e-3, 0))
+        assert pairs == scan_pairs(err, alpha, y_pm, 1.0, 1e-3) == [(0, 1), (1, 0), (2, 0)]
+        assert scanned == [0, 1, 2]
+
+    def test_most_violators_skip_the_scan(self):
+        rng = np.random.default_rng(44)
+        X = rng.normal(size=(300, 4))
+        y_pm = np.where(X[:, 0] + X[:, 1] * X[:, 2] > 0, 1.0, -1.0)
+        rows = svm._KernelRows(X, 0.25)
+        with pytest.MonkeyPatch.context() as mp:
+            scanned = spy_scans(mp)
+            alpha, b = svm._smo(rows, y_pm, 1.0, 1e-3, 3000)
+        searched = []
+        want_alpha, want_b = scan_smo(rows, y_pm, 1.0, 1e-3, 3000, searched)
+        assert alpha.tobytes() == want_alpha.tobytes() and b == want_b
+        assert len(searched) > 300
+        assert len(scanned) * 20 < len(searched)
 
 
 def _block_sizes(n: int, cols: int) -> list[int]:
